@@ -4,6 +4,7 @@
 
 #include "common/bit_ops.h"
 #include "common/check.h"
+#include "math/mod_arith.h"
 
 namespace bts {
 
@@ -179,7 +180,7 @@ ChebyshevEvaluator::level_of(const std::vector<double>& coeffs,
     if (deg < basis.m) {
         int lvl = basis.t[1].level;
         for (int j = 2; j <= deg; ++j) lvl = std::min(lvl, basis.t[j].level);
-        return lvl - 1; // leaf spends one level on mult_const_to_scale
+        return lvl - 1; // leaf spends one level on its single rescale
     }
     int g = basis.m;
     while (2 * g <= deg) g *= 2;
@@ -198,33 +199,33 @@ ChebyshevEvaluator::eval_recurse(const std::vector<double>& coeffs,
     const int deg = static_cast<int>(coeffs.size()) - 1;
 
     if (deg < basis.m) {
-        // Leaf: sum_j c_j T_j, every term steered EXACTLY to
-        // target_scale at a common level via mult_const_to_scale.
+        // Leaf: sum_j c_j T_j with ONE rescale. An integer constant puts
+        // each term at the raw scale target * q_{lvl+1}; a constant that
+        // rounds to 0 adds exactly nothing, so its term is skipped.
         const int lvl = level_of(coeffs, basis);
         BTS_CHECK(lvl >= 0, "ran out of levels in Chebyshev leaf");
-
-        Ciphertext acc;
-        bool acc_set = false;
+        const Ciphertext& t1 = basis.t[1];
+        const std::vector<u64> primes(t1.b.primes().begin(),
+                                      t1.b.primes().begin() + lvl + 2);
+        const double raw = target_scale * static_cast<double>(primes.back());
+        Ciphertext acc{RnsPoly(t1.b.degree(), primes, t1.b.domain()),
+                       RnsPoly(t1.a.degree(), primes, t1.a.domain()), raw,
+                       lvl + 1, t1.slots};
+        std::vector<u64> scalars(primes.size());
         for (int j = 1; j <= deg; ++j) {
-            if (std::abs(coeffs[j]) < 1e-300) continue;
-            Ciphertext term = basis.t[j];
-            eval_.drop_level_inplace(term, lvl + 1);
-            term = eval_.mult_const_to_scale(term, coeffs[j], target_scale);
-            if (!acc_set) {
-                acc = std::move(term);
-                acc_set = true;
-            } else {
-                acc.b.add_inplace(term.b);
-                acc.a.add_inplace(term.a);
+            const double scaled = coeffs[j] * (raw / basis.t[j].scale);
+            BTS_CHECK(std::abs(scaled) < 0x1.0p62,
+                      "constant overflows 62 bits");
+            const i64 iv = static_cast<i64>(std::llround(scaled));
+            if (iv == 0) continue;
+            for (std::size_t i = 0; i < primes.size(); ++i) {
+                scalars[i] = signed_to_mod(iv, primes[i]);
             }
+            acc.b.add_mul_scalar_inplace(basis.t[j].b, scalars);
+            acc.a.add_mul_scalar_inplace(basis.t[j].a, scalars);
         }
-        if (!acc_set) {
-            // Constant-only leaf: materialize a zero at the right level.
-            Ciphertext zero = basis.t[1];
-            eval_.drop_level_inplace(zero, lvl + 1);
-            zero = eval_.mult_const_to_scale(zero, 0.0, target_scale);
-            acc = std::move(zero);
-        }
+        eval_.rescale_inplace(acc);
+        acc.scale = target_scale; // exact by construction (up to 1 ulp)
         eval_.add_const_inplace(acc, Complex(coeffs[0], 0.0));
         return acc;
     }

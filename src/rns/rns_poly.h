@@ -140,6 +140,10 @@ class RnsPoly
     void mul_inplace(const RnsPoly& other);
     /** Multiply every row by per-prime scalars. */
     void mul_scalar_inplace(const std::vector<u64>& scalars);
+    /** this += other * scalars[i] per limb over this polynomial's
+     *  prime prefix, one fused pass (@p other may carry more limbs). */
+    void add_mul_scalar_inplace(const RnsPoly& other,
+                                const std::vector<u64>& scalars);
     /** this = (this - other) * scalars[i] per limb, one fused pass.
      *  @p form kLazy2q accepts a [0, 2q) source; the full Shoup product
      *  canonicalizes, so the reduction is paid once per chain. */

@@ -60,6 +60,16 @@ share(double part, double total)
     return total > 0 ? 100.0 * part / total : 0.0;
 }
 
+/** A time or ratio with three significant digits at any magnitude
+ *  (fixed point would print sub-microsecond predictions as zeros). */
+std::string
+sig(double v)
+{
+    std::ostringstream os;
+    os << std::scientific << std::setprecision(3) << v;
+    return os.str();
+}
+
 } // namespace
 
 std::string
@@ -71,29 +81,25 @@ render_profile_text(const ProfileReport& r)
        << std::setw(14) << "predicted(s)" << std::setw(10) << "p/m"
        << std::setw(9) << "m-share" << std::setw(9) << "p-share"
        << '\n';
+    os << std::fixed << std::setprecision(1);
     for (const OpKindProfile& row : r.ops) {
         os << std::left << std::setw(16) << row.op << std::right
-           << std::setw(8) << row.count << std::setw(14) << std::fixed
-           << std::setprecision(6) << row.measured_s << std::setw(14)
-           << row.predicted_s << std::setw(10) << std::setprecision(3)
-           << (row.measured_s > 0 ? row.predicted_s / row.measured_s
-                                  : 0.0)
-           << std::setw(8) << std::setprecision(1)
-           << share(row.measured_s, r.measured_total_s) << '%'
-           << std::setw(8)
-           << share(row.predicted_s, r.predicted_total_s) << '%'
-           << '\n';
-        os.unsetf(std::ios::fixed);
+           << std::setw(8) << row.count << std::setw(14)
+           << sig(row.measured_s) << std::setw(14) << sig(row.predicted_s)
+           << std::setw(10)
+           << sig(row.measured_s > 0 ? row.predicted_s / row.measured_s
+                                     : 0.0)
+           << std::setw(8) << share(row.measured_s, r.measured_total_s)
+           << '%' << std::setw(8)
+           << share(row.predicted_s, r.predicted_total_s) << '%' << '\n';
     }
     os << std::left << std::setw(16) << "TOTAL" << std::right
-       << std::setw(8) << "" << std::setw(14) << std::fixed
-       << std::setprecision(6) << r.measured_total_s << std::setw(14)
-       << r.predicted_total_s << std::setw(10) << std::setprecision(3)
-       << (r.measured_total_s > 0
-               ? r.predicted_total_s / r.measured_total_s
-               : 0.0)
+       << std::setw(8) << "" << std::setw(14) << sig(r.measured_total_s)
+       << std::setw(14) << sig(r.predicted_total_s) << std::setw(10)
+       << sig(r.measured_total_s > 0
+                  ? r.predicted_total_s / r.measured_total_s
+                  : 0.0)
        << '\n';
-    os.unsetf(std::ios::fixed);
     if (r.dropped_events > 0) {
         os << "WARNING: " << r.dropped_events
            << " events dropped (buffer full) — table undercounts\n";

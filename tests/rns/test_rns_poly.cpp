@@ -118,6 +118,26 @@ TEST_F(RnsPolyTest, SubMulScalarFusedMatchesSeparateOps)
     EXPECT_TRUE(acc3.equals(acc1));
 }
 
+TEST_F(RnsPolyTest, AddMulScalarMatchesMulThenAdd)
+{
+    const std::vector<u64> scalars = {3, primes_[1] - 7, 1ULL << 35};
+    const auto src = random_poly(Domain::kNtt, 13);
+    for (const std::size_t limbs : {primes_.size(), primes_.size() - 1}) {
+        // limbs < src limbs: the source's extra top limb is ignored.
+        auto expect = random_poly(Domain::kNtt, 14);
+        expect.truncate(limbs);
+        auto got = expect;
+        auto term = src;
+        term.truncate(limbs);
+        term.mul_scalar_inplace(scalars);
+        expect.add_inplace(term);
+
+        got.add_mul_scalar_inplace(src, scalars);
+        EXPECT_EQ(got.num_primes(), limbs);
+        EXPECT_TRUE(got.equals(expect)) << limbs << " limbs";
+    }
+}
+
 TEST_F(RnsPolyTest, AddSubInverse)
 {
     auto a = random_poly(Domain::kCoeff, 1);

@@ -250,14 +250,20 @@ TEST(ProfileRender, TextAndJsonCarryTheTable)
     ProfileReport r;
     r.ops.push_back({"HMult", 3, 0.5, 0.25});
     r.ops.push_back({"HAdd", 2, 0.1, 0.05});
-    r.measured_total_s = 0.6;
-    r.predicted_total_s = 0.3;
+    r.ops.push_back({"Rescale", 1, 0.002, 4e-6});
+    r.measured_total_s = 0.602;
+    r.predicted_total_s = 0.300004;
     r.dropped_events = 2;
 
     const std::string text = render_profile_text(r);
     EXPECT_NE(text.find("HMult"), std::string::npos);
     EXPECT_NE(text.find("TOTAL"), std::string::npos);
     EXPECT_NE(text.find("dropped"), std::string::npos);
+    // A microsecond-scale prediction keeps its digits, as does its
+    // predicted/measured ratio.
+    EXPECT_NE(text.find("4.000e-06"), std::string::npos);
+    EXPECT_NE(text.find("2.000e-03"), std::string::npos);
+    EXPECT_EQ(text.find("0.000000"), std::string::npos);
 
     const std::string json = render_profile_json(r);
     EXPECT_NE(json.find("\"ops\""), std::string::npos);
