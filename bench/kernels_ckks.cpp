@@ -256,6 +256,65 @@ BM_HRot(benchmark::State& state)
 BENCHMARK(BM_HRot);
 
 void
+BM_HRotHoisted(benchmark::State& state)
+{
+    // Eight rotations of one ciphertext sharing one decompose+ModUp
+    // (the CtS/StC baby-step battery). The s_per_amount counter is the
+    // cost of one amount, comparable with BM_HRot.
+    static const std::vector<int> amounts = {1, 2, 3, 4, 5, 6, 7, 8};
+    auto& e = env();
+    static const RotationKeys* keys =
+        new RotationKeys(e.keygen.gen_rotation_keys(e.sk, amounts));
+    for (auto _ : state) {
+        auto out = e.eval.rotate_hoisted(e.ct, amounts, *keys);
+        benchmark::DoNotOptimize(out);
+    }
+    state.counters["s_per_amount"] = benchmark::Counter(
+        static_cast<double>(amounts.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HRotHoisted)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void
+BM_LinearTransformApply(benchmark::State& state)
+{
+    // One radix-32 CoeffToSlot stage at 1024 slots (N=2^12, top level),
+    // compiled the way FactoredDft compiles its stages: the hoisted
+    // baby battery, the fused giant-step inner sums and the giant-step
+    // rotations of one BSGS transform.
+    static constexpr std::size_t kSlots = 1024;
+    auto& e = env();
+    struct Stage
+    {
+        std::unique_ptr<LinearTransform> lt;
+        RotationKeys keys;
+        Ciphertext ct;
+    };
+    static Stage* st = [&e] {
+        auto* s = new Stage;
+        const auto diags = FactoredDft::stage_diagonals(
+            kSlots, DftDirection::kCoeffToSlot, 32);
+        s->lt = std::make_unique<LinearTransform>(
+            e.ctx, e.encoder, kSlots, diags.front(), e.ctx.max_level(), 4.0);
+        s->keys = e.keygen.gen_rotation_keys(e.sk, s->lt->required_rotations());
+        const auto z = std::vector<Complex>(kSlots, Complex(0.3, -0.2));
+        s->ct = e.encryptor.encrypt_symmetric(
+            e.encoder.encode(z, e.ctx.delta(), e.ctx.max_level()), e.sk);
+        return s;
+    }();
+    for (auto _ : state) {
+        auto out = st->lt->apply(e.eval, st->ct, st->keys);
+        benchmark::DoNotOptimize(out);
+    }
+    state.counters["diagonals"] = st->lt->num_diagonals();
+    state.counters["baby_steps"] = st->lt->baby_steps();
+}
+BENCHMARK(BM_LinearTransformApply)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_Rescale(benchmark::State& state)
 {
     auto& e = env();

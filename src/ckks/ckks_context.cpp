@@ -206,4 +206,19 @@ CkksContext::converter(const std::vector<u64>& source,
     return *it->second;
 }
 
+const std::vector<u32>&
+CkksContext::galois_permutation(u64 galois_exp) const
+{
+    const u64 g = galois_exp & (2 * static_cast<u64>(params_.n) - 1);
+    // Same locking discipline as converter(): entries are never erased
+    // and map nodes are pointer-stable.
+    std::lock_guard<std::mutex> lock(galois_mutex_);
+    auto it = galois_perms_.find(g);
+    if (it == galois_perms_.end()) {
+        it = galois_perms_.emplace(g, ntt_galois_permutation(params_.n, g))
+                 .first;
+    }
+    return it->second;
+}
+
 } // namespace bts

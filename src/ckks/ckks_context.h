@@ -124,6 +124,13 @@ class CkksContext
     const BaseConverter& converter(const std::vector<u64>& source,
                                    const std::vector<u64>& target) const;
 
+    /**
+     * Cached ntt_galois_permutation(N, @p galois_exp): the index table
+     * of the NTT-domain automorphism. Built once per exponent on first
+     * use; safe to call concurrently.
+     */
+    const std::vector<u32>& galois_permutation(u64 galois_exp) const;
+
     /** Total bit-length of P * Q (the security-determining quantity). */
     int log_pq_bits() const { return log_pq_bits_; }
 
@@ -145,6 +152,8 @@ class CkksContext
     mutable std::map<std::pair<std::vector<u64>, std::vector<u64>>,
                      std::unique_ptr<BaseConverter>>
         converters_;
+    mutable std::mutex galois_mutex_; //!< guards galois_perms_
+    mutable std::map<u64, std::vector<u32>> galois_perms_;
 };
 
 } // namespace bts

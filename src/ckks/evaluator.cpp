@@ -119,56 +119,79 @@ Evaluator::negate(const Ciphertext& a) const
     return out;
 }
 
-void
-Evaluator::accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
-                                  const RnsPoly& f, const RnsPoly& key_b,
-                                  const RnsPoly& key_a, int level) const
+std::vector<RnsPoly>
+Evaluator::mod_up(const RnsPoly& d, int level) const
 {
-    // evk polynomials live over {q_0..q_L, p_0..p_{k-1}}; f and the
-    // accumulators over {q_0..q_l, p_0..p_{k-1}}. Index ext limb i to
-    // key limb i (q part) or L+1+(i-level-1) (special part) and fuse
-    // multiply and accumulate in a single tiled pass.
-    //
-    // f may carry LAZY residues in [0, 2q) (from to_ntt_lazy): the
-    // Barrett product of a [0, 2q) value with a canonical key residue
-    // stays below q * 2^64, so the reducer canonicalizes it for free
-    // and the accumulators remain canonical.
-    const int L = ctx_.max_level();
-    const std::size_t n = ctx_.n();
-    const std::size_t count = f.num_primes();
-    BTS_ASSERT(f.domain() == Domain::kNtt &&
-                   acc_b.num_primes() == count && acc_a.num_primes() == count,
-               "evk accumulate operands mismatch");
+    BTS_CHECK(d.domain() == Domain::kNtt, "ModUp expects NTT input");
+    BTS_CHECK(static_cast<int>(d.num_primes()) == level + 1,
+              "polynomial does not match the stated level");
+    const auto q_primes = ctx_.level_primes(level);
+    const int count = ctx_.num_slices(level);
+    std::vector<RnsPoly> up;
+    up.reserve(count);
+    for (int j = 0; j < count; ++j) {
+        const auto [begin, end] = ctx_.slice_range(j, level);
+        const std::vector<u64> src(q_primes.begin() + begin,
+                                   q_primes.begin() + end);
+        std::vector<u64> tgt(q_primes.begin(), q_primes.begin() + begin);
+        tgt.insert(tgt.end(), q_primes.begin() + end, q_primes.end());
+        tgt.insert(tgt.end(), ctx_.p_primes().begin(),
+                   ctx_.p_primes().end());
 
-    std::vector<Barrett> barrett(count);
-    std::vector<const u64*> kb(count), ka(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        barrett[i] = Barrett(f.prime(i));
-        const std::size_t ki =
-            static_cast<int>(i) <= level
-                ? i
-                : static_cast<std::size_t>(L + 1) - (level + 1) + i;
-        kb[i] = key_b.component(ki).data();
-        ka[i] = key_a.component(ki).data();
+        // iNTT the digit (accepts lazy input), base-convert it onto its
+        // complement + P, NTT. Lazy forward transform: the only reader
+        // is the fused inner product, which tolerates [0, 2q).
+        RnsPoly digit(ctx_.n(), src, Domain::kNtt, RnsPoly::Uninit{});
+        for (int i = begin; i < end; ++i) {
+            digit.component(i - begin).copy_from(d.component(i));
+        }
+        digit.to_coeff(ctx_.tables_for(src));
+        RnsPoly converted = ctx_.converter(src, tgt).convert(digit);
+        converted.to_ntt_lazy(ctx_.tables_for(tgt));
+        up.push_back(std::move(converted));
     }
-    const u64* const fp = f.data();
-    u64* const ab = acc_b.data();
-    u64* const aa = acc_a.data();
-    parallel_for_2d(
-        count, n,
-        [&](std::size_t i, std::size_t c0, std::size_t c1) {
-            const Barrett& br = barrett[i];
-            const u64 q = br.modulus();
-            const u64* fc = fp + i * n;
-            const u64* kbc = kb[i];
-            const u64* kac = ka[i];
-            u64* abc = ab + i * n;
-            u64* aac = aa + i * n;
-            for (std::size_t c = c0; c < c1; ++c) {
-                abc[c] = add_mod(abc[c], br.mul(fc[c], kbc[c]), q);
-                aac[c] = add_mod(aac[c], br.mul(fc[c], kac[c]), q);
-            }
-        });
+    return up;
+}
+
+std::pair<RnsPoly, RnsPoly>
+Evaluator::inner_product(const RnsPoly& d, const std::vector<RnsPoly>& up,
+                         const EvalKey& evk, int level,
+                         const u32* perm) const
+{
+    // The extended digit f_j over {q_0..q_l, p_0..p_{k-1}} is never
+    // assembled: limb i of f_j is d's own limb i when i lies in digit j
+    // and the matching BConv output row otherwise. evk polynomials
+    // live over {q_0..q_L, p_*}, so ext limb i reads key limb i (q
+    // part) or L+1+(i-l-1) (special part) in place.
+    const int slices = ctx_.num_slices(level);
+    BTS_CHECK(slices <= static_cast<int>(evk.slices.size()),
+              "evaluation key has too few slices");
+    BTS_CHECK(static_cast<int>(up.size()) == slices,
+              "one ModUp output per digit expected");
+    const int L = ctx_.max_level();
+    const auto ext = ctx_.extended_primes(level);
+    const std::size_t terms = static_cast<std::size_t>(slices);
+    std::vector<MacTerm> table(ext.size() * terms);
+    for (std::size_t i = 0; i < ext.size(); ++i) {
+        const int ii = static_cast<int>(i);
+        const std::size_t ki =
+            ii <= level ? i : static_cast<std::size_t>(L + 1 + ii - level - 1);
+        for (int j = 0; j < slices; ++j) {
+            const auto [begin, end] = ctx_.slice_range(j, level);
+            const std::size_t width = static_cast<std::size_t>(end - begin);
+            const u64* x =
+                ii >= begin && ii < end
+                    ? d.component(i).data()
+                    : up[j].component(ii < begin ? i : i - width).data();
+            table[i * terms + j] = {
+                x, evk.slices[j].first.component(ki).data(),
+                evk.slices[j].second.component(ki).data()};
+        }
+    }
+    RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt, RnsPoly::Uninit{});
+    RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt, RnsPoly::Uninit{});
+    fused_mac2(terms, table, perm, acc_b, acc_a);
+    return {std::move(acc_b), std::move(acc_a)};
 }
 
 std::pair<RnsPoly, RnsPoly>
@@ -181,58 +204,8 @@ Evaluator::key_switch(const RnsPoly& d, const EvalKey& evk, int level) const
               "polynomial does not match the stated level");
     BTS_CHECK(!evk.empty(), "evaluation key is empty");
 
-    const auto ext = ctx_.extended_primes(level);
-    const auto q_primes = ctx_.level_primes(level);
-
-    RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt);
-    RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt);
-
-    const int slices = ctx_.num_slices(level);
-    BTS_CHECK(slices <= static_cast<int>(evk.slices.size()),
-              "evaluation key has too few slices");
-
-    for (int j = 0; j < slices; ++j) {
-        const auto [begin, end] = ctx_.slice_range(j, level);
-
-        // ModUp: iNTT the slice, base-convert to the complement + P, NTT.
-        std::vector<u64> src(q_primes.begin() + begin,
-                             q_primes.begin() + end);
-        std::vector<u64> tgt;
-        for (int i = 0; i <= level; ++i) {
-            if (i < begin || i >= end) tgt.push_back(q_primes[i]);
-        }
-        tgt.insert(tgt.end(), ctx_.p_primes().begin(),
-                   ctx_.p_primes().end());
-
-        RnsPoly d_slice(ctx_.n(), src, Domain::kNtt, RnsPoly::Uninit{});
-        for (int i = begin; i < end; ++i) {
-            d_slice.component(i - begin).copy_from(d.component(i));
-        }
-        d_slice.to_coeff(ctx_.tables_for(src));
-
-        // Lazy forward transform: the only reader is the Barrett inner
-        // product below, which tolerates [0, 2q) inputs.
-        RnsPoly converted = ctx_.converter(src, tgt).convert(d_slice);
-        converted.to_ntt_lazy(ctx_.tables_for(tgt));
-
-        // Reassemble the extended polynomial: slice components stay in
-        // the NTT domain untouched; converted components fill the rest.
-        RnsPoly f(ctx_.n(), ext, Domain::kNtt, RnsPoly::Uninit{});
-        std::size_t conv_idx = 0;
-        for (std::size_t i = 0; i < ext.size(); ++i) {
-            const int ii = static_cast<int>(i);
-            if (ii >= begin && ii < end && ii <= level) {
-                f.component(i).copy_from(d.component(i));
-            } else {
-                f.component(i).copy_from(converted.component(conv_idx++));
-            }
-        }
-
-        // Inner product with the key slice (read in place, fused).
-        accumulate_evk_product(acc_b, acc_a, f, evk.slices[j].first,
-                               evk.slices[j].second, level);
-    }
-
+    const std::vector<RnsPoly> up = mod_up(d, level);
+    auto [acc_b, acc_a] = inner_product(d, up, evk, level, nullptr);
     mod_down_inplace(acc_b, level);
     mod_down_inplace(acc_a, level);
     return {std::move(acc_b), std::move(acc_a)};
@@ -266,51 +239,6 @@ Evaluator::mod_down_inplace(RnsPoly& acc, int level) const
     acc.sub_mul_scalar_inplace(lifted, p_inv, RnsPoly::Residues::kLazy2q);
 }
 
-std::vector<RnsPoly>
-Evaluator::mod_up_slices(const RnsPoly& d_ntt, int level) const
-{
-    BTS_CHECK(d_ntt.domain() == Domain::kNtt, "expects NTT input");
-    const auto ext = ctx_.extended_primes(level);
-    const auto q_primes = ctx_.level_primes(level);
-
-    RnsPoly d = d_ntt;
-    d.to_coeff(ctx_.tables_for(d));
-
-    std::vector<RnsPoly> slices;
-    const int count = ctx_.num_slices(level);
-    for (int j = 0; j < count; ++j) {
-        const auto [begin, end] = ctx_.slice_range(j, level);
-        std::vector<u64> src(q_primes.begin() + begin,
-                             q_primes.begin() + end);
-        std::vector<u64> tgt;
-        for (int i = 0; i <= level; ++i) {
-            if (i < begin || i >= end) tgt.push_back(q_primes[i]);
-        }
-        tgt.insert(tgt.end(), ctx_.p_primes().begin(),
-                   ctx_.p_primes().end());
-
-        RnsPoly d_slice(ctx_.n(), src, Domain::kCoeff,
-                        RnsPoly::Uninit{});
-        for (int i = begin; i < end; ++i) {
-            d_slice.component(i - begin).copy_from(d.component(i));
-        }
-        RnsPoly converted = ctx_.converter(src, tgt).convert(d_slice);
-
-        RnsPoly f(ctx_.n(), ext, Domain::kCoeff, RnsPoly::Uninit{});
-        std::size_t conv_idx = 0;
-        for (std::size_t i = 0; i < ext.size(); ++i) {
-            const int ii = static_cast<int>(i);
-            if (ii >= begin && ii < end && ii <= level) {
-                f.component(i).copy_from(d.component(i));
-            } else {
-                f.component(i).copy_from(converted.component(conv_idx++));
-            }
-        }
-        slices.push_back(std::move(f));
-    }
-    return slices;
-}
-
 std::vector<Ciphertext>
 Evaluator::rotate_hoisted(const Ciphertext& ct,
                           const std::vector<int>& amounts,
@@ -341,17 +269,16 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
     BTS_CHECK(keys.size() == amounts.size(),
               "one key per rotation amount expected");
     const int level = ct.level;
-    const auto ext = ctx_.extended_primes(level);
-    const auto ext_tables = ctx_.tables_for(ext);
-    const u64 two_n = 2 * static_cast<u64>(ctx_.n());
-    const u64 order = ctx_.n() / 2;
 
-    // Shared prefix: one decompose + ModUp of the mask polynomial (the
-    // automorphism commutes with BConv because base conversion is
-    // coefficient-wise).
-    const std::vector<RnsPoly> slices = mod_up_slices(ct.a, level);
-    RnsPoly b_coeff = ct.b;
-    b_coeff.to_coeff(ctx_.tables_for(b_coeff));
+    // Shared prefix: one decompose + ModUp of the mask polynomial, kept
+    // in the NTT domain. The automorphism commutes with the NTT (it
+    // permutes evaluation points), so each amount folds its
+    // permutation into the inner product's reads and pays no
+    // transform of its own before ModDown.
+    const bool any = std::any_of(amounts.begin(), amounts.end(),
+                                 [](int r) { return r != 0; });
+    const std::vector<RnsPoly> up =
+        any ? mod_up(ct.a, level) : std::vector<RnsPoly>{};
 
     std::vector<Ciphertext> out;
     out.reserve(amounts.size());
@@ -361,31 +288,16 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
             out.push_back(ct);
             continue;
         }
-        const u64 amount =
-            ((static_cast<i64>(r) % static_cast<i64>(order)) + order) %
-            order;
-        const u64 exp = pow_mod(5, amount, two_n);
+        const u64 exp = rotation_exponent(r);
         BTS_CHECK(keys[k] != nullptr, "missing rotation key " << r);
         const EvalKey& key = *keys[k];
         BTS_CHECK(key.galois_exp == exp, "rotation key mismatch");
-        BTS_CHECK(ctx_.num_slices(level) <=
-                      static_cast<int>(key.slices.size()),
-                  "rotation key has too few slices");
+        const std::vector<u32>& perm = ctx_.galois_permutation(exp);
 
-        RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt);
-        RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt);
-        for (std::size_t j = 0; j < slices.size(); ++j) {
-            RnsPoly f = slices[j].automorphism(exp);
-            f.to_ntt_lazy(ext_tables);
-            accumulate_evk_product(acc_b, acc_a, f, key.slices[j].first,
-                                   key.slices[j].second, level);
-        }
+        auto [acc_b, acc_a] = inner_product(ct.a, up, key, level, perm.data());
         mod_down_inplace(acc_b, level);
         mod_down_inplace(acc_a, level);
-
-        RnsPoly b_rot = b_coeff.automorphism(exp);
-        b_rot.to_ntt_lazy(ctx_.tables_for(b_rot));
-        acc_b.add_inplace(b_rot, RnsPoly::Residues::kLazy2q);
+        acc_b.add_inplace(ct.b.automorphism_ntt(perm));
 
         Ciphertext res;
         res.b = std::move(acc_b);
@@ -551,21 +463,12 @@ Evaluator::apply_galois(const Ciphertext& ct, u64 galois_exp,
 {
     BTS_CHECK(key.galois_exp == galois_exp,
               "evaluation key does not match the automorphism");
-    const auto tables = ctx_.tables_for(ct.b);
-
-    RnsPoly b = ct.b;
-    b.to_coeff(tables);
-    b = b.automorphism(galois_exp);
-    b.to_ntt(tables);
-
-    RnsPoly a = ct.a;
-    a.to_coeff(tables);
-    a = a.automorphism(galois_exp);
-    // Lazy is safe here: key_switch only reads a through the inverse
-    // NTT (lazy-tolerant) and the Barrett inner product.
-    a.to_ntt_lazy(tables);
-
+    // NTT-domain automorphism: an index permutation per limb, no
+    // transform. Both outputs are canonical even for lazy input.
+    const std::vector<u32>& perm = ctx_.galois_permutation(galois_exp);
+    RnsPoly a = ct.a.automorphism_ntt(perm);
     auto [kb, ka] = key_switch(a, key, ct.level);
+    RnsPoly b = ct.b.automorphism_ntt(perm);
     b.add_inplace(kb);
 
     Ciphertext out;
@@ -593,16 +496,20 @@ Evaluator::switch_key(const Ciphertext& ct, const EvalKey& rekey_key) const
     return out;
 }
 
+u64
+Evaluator::rotation_exponent(int r) const
+{
+    const u64 two_n = 2 * static_cast<u64>(ctx_.n());
+    const i64 order = static_cast<i64>(ctx_.n() / 2);
+    const u64 amount = static_cast<u64>(((r % order) + order) % order);
+    return pow_mod(5, amount, two_n);
+}
+
 Ciphertext
 Evaluator::rotate(const Ciphertext& ct, int r, const EvalKey& rot_key) const
 {
     if (r == 0) return ct;
-    const u64 two_n = 2 * static_cast<u64>(ctx_.n());
-    const u64 order = ctx_.n() / 2;
-    const u64 amount =
-        ((static_cast<i64>(r) % static_cast<i64>(order)) + order) % order;
-    const u64 exp = pow_mod(5, amount, two_n);
-    return apply_galois(ct, exp, rot_key);
+    return apply_galois(ct, rotation_exponent(r), rot_key);
 }
 
 Ciphertext
@@ -611,16 +518,15 @@ Evaluator::conjugate(const Ciphertext& ct, const EvalKey& conj_key) const
     return apply_galois(ct, 2 * static_cast<u64>(ctx_.n()) - 1, conj_key);
 }
 
+// The plaintext ops read the plaintext's limb prefix in place: the
+// element-wise kernels iterate over the ciphertext's limbs only.
 Ciphertext
 Evaluator::mult_plain(const Ciphertext& ct, const Plaintext& pt) const
 {
     check_plain_chain(ct, pt);
-    RnsPoly m = pt.poly;
-    m.truncate(ct.level + 1);
-
     Ciphertext out = ct;
-    out.b.mul_inplace(m);
-    out.a.mul_inplace(m);
+    out.b.mul_inplace(pt.poly);
+    out.a.mul_inplace(pt.poly);
     out.scale = ct.scale * pt.scale;
     return out;
 }
@@ -630,10 +536,8 @@ Evaluator::add_plain(const Ciphertext& ct, const Plaintext& pt) const
 {
     check_scale_match(ct.scale, pt.scale);
     check_plain_chain(ct, pt);
-    RnsPoly m = pt.poly;
-    m.truncate(ct.level + 1);
     Ciphertext out = ct;
-    out.b.add_inplace(m);
+    out.b.add_inplace(pt.poly);
     return out;
 }
 
@@ -642,10 +546,8 @@ Evaluator::sub_plain(const Ciphertext& ct, const Plaintext& pt) const
 {
     check_scale_match(ct.scale, pt.scale);
     check_plain_chain(ct, pt);
-    RnsPoly m = pt.poly;
-    m.truncate(ct.level + 1);
     Ciphertext out = ct;
-    out.b.sub_inplace(m);
+    out.b.sub_inplace(pt.poly);
     return out;
 }
 

@@ -8,8 +8,11 @@
  *   (ModDown) -> NTT -> subtract-scale-add (SSA)
  *
  * Ciphertexts and plaintexts are kept in the NTT domain at rest, exactly
- * as BTS does on-chip; only BConv and the automorphism drop back to the
- * coefficient domain (Section 4.1).
+ * as BTS does on-chip; only BConv drops back to the coefficient domain
+ * (Section 4.1). The HRot automorphism is an index permutation of the
+ * NTT evaluation points (RnsPoly::automorphism_ntt), and the evk inner
+ * product sums every digit's products lazily and reduces once per
+ * output, like the MMAU (Eq. 11).
  */
 #pragma once
 
@@ -43,8 +46,9 @@ class Evaluator
      * canonicalization pass. Same value mod q as add()/sub(). The
      * result violates the canonical-storage invariant, so it must only
      * feed lazy-tolerant consumers (mult/mult_plain/mult_const's
-     * Barrett and Shoup products, rotations and conjugation whose
-     * key-switch starts with to_coeff, mod_raise) — never another
+     * Barrett and Shoup products, rotations and conjugation, whose
+     * NTT-domain automorphism and key-switch accept [0, 2q) residues,
+     * mod_raise) — never another
      * add/sub, a rescale, or a decryption. The runtime's lazy-residue
      * pass (docs/PASSES.md) is the intended caller.
      */
@@ -95,10 +99,13 @@ class Evaluator
     /**
      * Hoisted rotations (Halevi-Shoup / Bossuat et al. [12], the trick
      * bootstrapping's rotation batteries rely on): compute the
-     * decompose+ModUp of the input ONCE and share it across all
-     * @p amounts, paying only an automorphism + NTT + inner product +
-     * ModDown per rotation. Exactly equivalent to calling rotate() per
-     * amount, at a fraction of the iNTT/BConv work.
+     * decompose+ModUp of the input ONCE, in the NTT domain, and share
+     * it across all @p amounts. Each rotation then pays only the
+     * NTT-domain automorphism (folded into the inner product's reads)
+     * + inner product + ModDown — no NTT of its own before ModDown.
+     * Decrypts like rotate() per amount; the residues differ because
+     * the automorphism is applied after the (approximate) BConv rather
+     * than before it.
      */
     std::vector<Ciphertext> rotate_hoisted(const Ciphertext& ct,
                                            const std::vector<int>& amounts,
@@ -180,22 +187,31 @@ class Evaluator
     static constexpr double kScaleTolerance = 1e-6;
 
   private:
-    /**
-     * acc_{b,a} += f * evk_slice over the level-l extended base, reading
-     * the key's components in place through the {q_0..q_l, p_*} ->
-     * evk-base index map. One fused pass; the key is never copied onto
-     * the extended base (the old per-rotation gather allocated and
-     * copied two full extended polynomials per slice).
-     */
-    void accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
-                                const RnsPoly& f, const RnsPoly& key_b,
-                                const RnsPoly& key_a, int level) const;
+    /** Galois exponent 5^r mod 2N of a rotation by @p r slots. */
+    u64 rotation_exponent(int r) const;
 
-    /** Decompose + ModUp: per-slice extended polynomials over
-     *  {q_0..q_l, p_*}, returned in the COEFFICIENT domain (the shared
-     *  prefix of hoisted rotations). */
-    std::vector<RnsPoly> mod_up_slices(const RnsPoly& d_ntt,
-                                       int level) const;
+    /**
+     * Decompose + ModUp, the shared prefix of key_switch and hoisted
+     * rotations: for each dnum digit j of the level-l polynomial @p d
+     * (NTT domain, may be lazy), the BConv of the digit's limbs onto
+     * its complement {q_i : i not in digit j} + P, returned in the NTT
+     * domain with lazy [0, 2q) residues. The digit's own limbs are not
+     * copied; inner_product reads them from @p d in place.
+     */
+    std::vector<RnsPoly> mod_up(const RnsPoly& d, int level) const;
+
+    /**
+     * evk inner product over the level-l extended base {q_0..q_l, p_*}:
+     * (sum_j f_j * evk_j.b, sum_j f_j * evk_j.a), where f_j is the ModUp
+     * of digit j (its own limbs from @p d, the rest from @p up[j]). One
+     * fused_mac2 pass with one reduction per output; the key is read in
+     * place. A non-null @p perm applies the NTT-domain automorphism to
+     * every f_j on the read (hoisted rotations).
+     */
+    std::pair<RnsPoly, RnsPoly> inner_product(const RnsPoly& d,
+                                              const std::vector<RnsPoly>& up,
+                                              const EvalKey& evk, int level,
+                                              const u32* perm) const;
 
     /** ModDown by P: acc (extended base, NTT) -> level-l base. */
     void mod_down_inplace(RnsPoly& acc, int level) const;

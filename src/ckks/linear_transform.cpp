@@ -142,25 +142,43 @@ LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct,
         }
     }
 
-    // Giant steps: inner sums of plaintext products, then one rotation.
+    // Giant steps: each inner sum sum_j pt_j (*) baby_j is one fused
+    // multiply-accumulate pass over both ciphertext polynomials (lazy
+    // 128-bit sums, one reduction per output, plaintexts and babies
+    // read in place), then one rotation.
     const int max_giant = diag_values_.back().giant;
+    const auto q_primes = ctx_.level_primes(level_);
+    const std::size_t limbs = q_primes.size();
+    const double pt_scale = diag_values_.front().plaintext.scale;
+    std::vector<MacTerm> terms;
     Ciphertext acc;
     bool acc_set = false;
     for (int i = 0; i <= max_giant; ++i) {
-        Ciphertext inner;
-        bool inner_set = false;
+        std::vector<const Diag*> group;
         for (const auto& d : diag_values_) {
-            if (d.giant != i) continue;
-            Ciphertext term = eval.mult_plain(baby[d.baby], d.plaintext);
-            if (!inner_set) {
-                inner = std::move(term);
-                inner_set = true;
-            } else {
-                inner.b.add_inplace(term.b);
-                inner.a.add_inplace(term.a);
+            if (d.giant == i) group.push_back(&d);
+        }
+        if (group.empty()) continue;
+        // terms[limb * |group| + t], the layout fused_mac2 expects.
+        terms.resize(limbs * group.size());
+        for (std::size_t l = 0; l < limbs; ++l) {
+            for (std::size_t t = 0; t < group.size(); ++t) {
+                const Ciphertext& b = baby[group[t]->baby];
+                terms[l * group.size() + t] = {
+                    group[t]->plaintext.poly.component(l).data(),
+                    b.b.component(l).data(), b.a.component(l).data()};
             }
         }
-        if (!inner_set) continue;
+        Ciphertext inner;
+        inner.b =
+            RnsPoly(ctx_.n(), q_primes, Domain::kNtt, RnsPoly::Uninit{});
+        inner.a =
+            RnsPoly(ctx_.n(), q_primes, Domain::kNtt, RnsPoly::Uninit{});
+        fused_mac2(group.size(), terms, nullptr, inner.b, inner.a);
+        inner.scale = input.scale * pt_scale;
+        inner.level = level_;
+        inner.slots = input.slots;
+
         const int gi = (i * g_) % static_cast<int>(n_);
         if (gi != 0) {
             const auto it = rot_keys.find(gi);

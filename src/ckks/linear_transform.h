@@ -73,6 +73,19 @@ class LinearTransform
     Ciphertext apply(const Evaluator& eval, const Ciphertext& ct,
                      const RotationKeys& rot_keys) const;
 
+    /** A nonzero diagonal, compiled. */
+    struct Diag
+    {
+        int shift;           //!< d in [0, n)
+        int baby;            //!< j = d mod g
+        int giant;           //!< i = d / g
+        Plaintext plaintext; //!< diagonal pre-rotated by -g*i, encoded
+    };
+
+    /** Compiled diagonals in ascending shift order (for tests and
+     *  diagnostics). */
+    const std::vector<Diag>& diagonals() const { return diag_values_; }
+
     std::size_t dimension() const { return n_; }
     int num_diagonals() const { return static_cast<int>(diag_values_.size()); }
     int baby_steps() const { return g_; }
@@ -85,15 +98,6 @@ class LinearTransform
     std::size_t n_;
     int level_;
     int g_; // giant-step width (number of baby rotations)
-    /** Nonzero diagonals: shift -> pre-rotated slot values. Stored as
-     *  (shift, giant index, values rotated by -g*i). */
-    struct Diag
-    {
-        int shift;           // d in [0, n)
-        int baby;            // j = d mod g
-        int giant;           // i = d / g
-        Plaintext plaintext; // diagonal pre-rotated by -g*i, encoded
-    };
     std::vector<Diag> diag_values_;
     std::vector<int> required_rotations_;
 };

@@ -114,9 +114,9 @@ mod_to_signed(u64 v, u64 m)
 /**
  * Barrett reducer for a fixed modulus.
  *
- * Precomputes mu = floor(2^128 / m) (stored as two 64-bit halves of the
- * 2^64-scaled variant). reduce() accepts any 128-bit value less than
- * m * 2^64 and is exact after at most one conditional subtraction.
+ * Precomputes mu = floor(2^128 / m) as two 64-bit halves. reduce()
+ * accepts any 128-bit value less than m * 2^64 and is exact after at
+ * most one conditional subtraction.
  */
 class Barrett
 {
@@ -127,8 +127,34 @@ class Barrett
 
     u64 modulus() const { return m_; }
 
-    /** Reduce a 128-bit value (v < m * 2^64) modulo m. */
-    u64 reduce(u128 v) const;
+    /**
+     * Reduce a 128-bit value v < m * 2^64 modulo m. Inline: it is the
+     * inner step of every element-wise product, BConv sum and key-switch
+     * inner product. floor(v * mu / 2^128) undershoots floor(v / m) by
+     * at most one, and v < m * 2^64 keeps the quotient in one word, so
+     * the remainder is formed in 64 bits and needs a single conditional
+     * subtraction.
+     */
+    u64
+    reduce(u128 v) const
+    {
+        const u64 v_lo = static_cast<u64>(v);
+        const u64 v_hi = static_cast<u64>(v >> 64);
+        BTS_DEBUG_ASSERT(v_hi < m_, "Barrett::reduce: input >= m * 2^64");
+        // v * mu >> 128 = v_hi*mu_hi + hi64(v_hi*mu_lo) + hi64(v_lo*mu_hi)
+        //                 + the carry out of the middle column.
+        const u128 mid1 = static_cast<u128>(v_hi) * mu_lo_;
+        const u128 mid2 = static_cast<u128>(v_lo) * mu_hi_;
+        const u64 lo_hi =
+            static_cast<u64>((static_cast<u128>(v_lo) * mu_lo_) >> 64);
+        const u128 mid = static_cast<u128>(lo_hi) + static_cast<u64>(mid1) +
+                         static_cast<u64>(mid2);
+        const u64 q = v_hi * mu_hi_ + static_cast<u64>(mid1 >> 64) +
+                      static_cast<u64>(mid2 >> 64) +
+                      static_cast<u64>(mid >> 64);
+        const u64 r = v_lo - q * m_; // exact: the true remainder is < 2m
+        return r >= m_ ? r - m_ : r;
+    }
 
     /** (a * b) mod m using the precomputed constant. */
     u64 mul(u64 a, u64 b) const { return reduce(static_cast<u128>(a) * b); }

@@ -63,8 +63,9 @@ BaseConverter::convert(const RnsPoly& input) const
         });
 
     // Part 2 (MMAU): out_i = [ sum_j y_j * q_hat_j ]_{p_i}, accumulated
-    // lazily in 128 bits (q_j < 2^61 keeps sums of 64 terms overflow-free;
-    // we reduce defensively every 8 terms for arbitrary base sizes).
+    // lazily in 128 bits. Barrett::reduce needs acc < p_i * 2^64: with
+    // y_j < q_j < 2^61 and q_hat_j < p_i, eight terms on top of a
+    // reduced partial sum stay below it, so reduce every 8 terms.
     // Each coefficient's sum is self-contained, so the 2-D tiling
     // cannot change the result.
     // Part 2 writes every coefficient of every target limb: the
@@ -122,6 +123,8 @@ BaseConverter::convert_grouped(const RnsPoly& input, int l_sub) const
                         const u64 y = hat_inv_shoup_[j].mul(
                             input.component(j)[c], q);
                         acc += static_cast<u128>(y) * hat_mod_[i][j];
+                        // Same bound as convert(): keep acc < p * 2^64.
+                        if (((j - j0) & 7) == 7) acc = barrett.reduce(acc);
                     }
                     dst[c] = barrett.reduce(acc);
                 }

@@ -145,27 +145,17 @@ class ReducerArray
 } // namespace
 
 void
-RnsPoly::add_inplace(const RnsPoly& other, Residues form)
+RnsPoly::add_inplace(const RnsPoly& other)
 {
     check_compatible(*this, other);
-    const bool lazy = form == Residues::kLazy2q;
     parallel_for_2d(
         num_primes(), n_,
         [&](std::size_t i, std::size_t c0, std::size_t c1) {
             const u64 q = primes_[i];
             const u64* src = other.component(i).data();
             u64* dst = data_.data() + i * n_;
-            if (lazy) {
-                // Fold the [0, 2q) -> [0, q) correction of the source
-                // into the addition instead of a separate sweep.
-                for (std::size_t c = c0; c < c1; ++c) {
-                    const u64 v = src[c] >= q ? src[c] - q : src[c];
-                    dst[c] = add_mod(dst[c], v, q);
-                }
-            } else {
-                for (std::size_t c = c0; c < c1; ++c) {
-                    dst[c] = add_mod(dst[c], src[c], q);
-                }
+            for (std::size_t c = c0; c < c1; ++c) {
+                dst[c] = add_mod(dst[c], src[c], q);
             }
         });
 }
@@ -393,7 +383,7 @@ RnsPoly::automorphism(u64 galois_exp) const
     BTS_CHECK(domain_ == Domain::kCoeff,
               "automorphism implemented in coefficient domain");
     BTS_CHECK((galois_exp & 1) == 1, "Galois exponent must be odd");
-    const u64 two_n = 2 * static_cast<u64>(n_);
+    const u64 mask = 2 * static_cast<u64>(n_) - 1; // 2N is a power of two
     RnsPoly out(n_, primes_, Domain::kCoeff, Uninit{});
     // The index map j -> j*galois_exp mod 2N is a bijection on odd
     // exponents, so source blocks write disjoint target sets and the
@@ -405,14 +395,37 @@ RnsPoly::automorphism(u64 galois_exp) const
             const u64* src = data_.data() + i * n_;
             u64* dst = out.data_.data() + i * n_;
             for (std::size_t j = c0; j < c1; ++j) {
-                const u64 target =
-                    (static_cast<u128>(j) * galois_exp) % two_n;
+                const u64 target = (j * galois_exp) & mask;
                 if (target < n_) {
                     dst[target] = src[j];
                 } else {
                     const u64 v = src[j];
                     dst[target - n_] = v == 0 ? 0 : q - v;
                 }
+            }
+        });
+    return out;
+}
+
+RnsPoly
+RnsPoly::automorphism_ntt(const std::vector<u32>& perm) const
+{
+    BTS_CHECK(domain_ == Domain::kNtt,
+              "automorphism_ntt expects an NTT-domain polynomial");
+    BTS_CHECK(perm.size() == n_, "Galois permutation size mismatch");
+    RnsPoly out(n_, primes_, Domain::kNtt, Uninit{});
+    // Gather form: each output tile reads anywhere in its source row
+    // and writes only itself, so any tiling is race-free.
+    const u32* const idx = perm.data();
+    parallel_for_2d(
+        num_primes(), n_,
+        [&](std::size_t i, std::size_t c0, std::size_t c1) {
+            const u64 q = primes_[i];
+            const u64* src = data_.data() + i * n_;
+            u64* dst = out.data_.data() + i * n_;
+            for (std::size_t c = c0; c < c1; ++c) {
+                const u64 v = src[idx[c]];
+                dst[c] = v >= q ? v - q : v;
             }
         });
     return out;
@@ -426,6 +439,109 @@ RnsPoly::equals(const RnsPoly& other) const
         return false;
     }
     return data_ == other.data_;
+}
+
+std::vector<u32>
+ntt_galois_permutation(std::size_t n, u64 galois_exp)
+{
+    BTS_CHECK(is_power_of_two(n) && n >= 2 && n <= (std::size_t{1} << 31),
+              "Galois permutation needs a power-of-two degree");
+    BTS_CHECK((galois_exp & 1) == 1, "Galois exponent must be odd");
+    const int log_n = log2_exact(n);
+    const u64 mask = 2 * static_cast<u64>(n) - 1;
+    const u64 g = galois_exp & mask;
+    std::vector<u32> perm(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const u64 point = 2 * bit_reverse(i, log_n) + 1;
+        const u64 image = (g * point) & mask; // odd
+        perm[i] = static_cast<u32>(bit_reverse((image - 1) / 2, log_n));
+    }
+    return perm;
+}
+
+namespace {
+
+/** fused_mac2's per-block body; kGuard adds the every-K-terms
+ *  reduction, kPerm the permuted read of x. */
+template <bool kPerm, bool kGuard>
+void
+mac2_block(const MacTerm* row, std::size_t num_terms, std::size_t k,
+           const Barrett& br, const u32* perm, std::size_t c0,
+           std::size_t c1, u64* o0, u64* o1)
+{
+    for (std::size_t c = c0; c < c1; ++c) {
+        const std::size_t s = kPerm ? perm[c] : c;
+        u128 a0 = 0;
+        u128 a1 = 0;
+        std::size_t left = k;
+        for (std::size_t t = 0; t < num_terms; ++t) {
+            const u64 x = row[t].x[s];
+            a0 += static_cast<u128>(x) * row[t].y0[c];
+            a1 += static_cast<u128>(x) * row[t].y1[c];
+            if constexpr (kGuard) {
+                if (--left == 0) {
+                    a0 = br.reduce(a0);
+                    a1 = br.reduce(a1);
+                    left = k;
+                }
+            }
+        }
+        o0[c] = br.reduce(a0);
+        o1[c] = br.reduce(a1);
+    }
+}
+
+} // namespace
+
+void
+fused_mac2(std::size_t num_terms, const std::vector<MacTerm>& terms,
+           const u32* perm, RnsPoly& out0, RnsPoly& out1)
+{
+    const std::size_t count = out0.num_primes();
+    const std::size_t n = out0.degree();
+    BTS_CHECK(num_terms >= 1, "fused_mac2 needs at least one term");
+    BTS_CHECK(out1.num_primes() == count && out1.degree() == n,
+              "fused_mac2 outputs disagree");
+    BTS_CHECK(terms.size() == count * num_terms,
+              "fused_mac2 expects one term row per limb and term");
+    ReducerArray<Barrett> barrett(count);
+    ReducerArray<std::size_t> guard(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        BTS_CHECK(out1.prime(i) == out0.prime(i),
+                  "fused_mac2 outputs disagree");
+        const u64 q = out0.prime(i);
+        barrett[i] = Barrett(q);
+        // Operands below 2q make each product < 4q^2; K such terms on
+        // top of a reduced partial sum stay below q * 2^64.
+        guard[i] = ~u64{0} / (4 * q);
+    }
+    u64* const base0 = out0.data();
+    u64* const base1 = out1.data();
+    parallel_for_2d(
+        count, n,
+        [&](std::size_t i, std::size_t c0, std::size_t c1) {
+            const MacTerm* row = terms.data() + i * num_terms;
+            const Barrett& br = barrett[i];
+            const std::size_t k = guard[i];
+            u64* o0 = base0 + i * n;
+            u64* o1 = base1 + i * n;
+            const bool guarded = num_terms > k;
+            if (perm != nullptr) {
+                if (guarded) {
+                    mac2_block<true, true>(row, num_terms, k, br, perm, c0,
+                                           c1, o0, o1);
+                } else {
+                    mac2_block<true, false>(row, num_terms, k, br, perm,
+                                            c0, c1, o0, o1);
+                }
+            } else if (guarded) {
+                mac2_block<false, true>(row, num_terms, k, br, perm, c0, c1,
+                                        o0, o1);
+            } else {
+                mac2_block<false, false>(row, num_terms, k, br, perm, c0,
+                                         c1, o0, o1);
+            }
+        });
 }
 
 } // namespace bts

@@ -14,8 +14,8 @@
  *
  * Each polynomial tracks whether it currently lives in the coefficient
  * ("RNS") domain or the NTT domain; BTS keeps polynomials in the NTT
- * domain by default and drops back only for BConv and the automorphism
- * (Section 4.1).
+ * domain by default and drops back only for BConv (Section 4.1) — the
+ * automorphism has an NTT-domain form (automorphism_ntt).
  */
 #pragma once
 
@@ -116,17 +116,15 @@ class RnsPoly
 
     // ----- element-wise arithmetic (both operands in the same domain and
     //       over compatible prime prefixes); all 2-D tiled -----
-    /** this += other. @p form kLazy2q accepts a [0, 2q) source and folds
-     *  its canonicalization into the addition (one pass instead of a
-     *  correction sweep plus an add). */
-    void add_inplace(const RnsPoly& other,
-                     Residues form = Residues::kCanonical);
+    /** this += other. */
+    void add_inplace(const RnsPoly& other);
     void sub_inplace(const RnsPoly& other);
     /** this += other with NO reduction: canonical inputs land in
      *  [0, 2q). Like to_ntt_lazy, the result violates the canonical-
      *  storage invariant and is only for transient values immediately
-     *  consumed by a lazy-tolerant op (mul_inplace, to_coeff, the
-     *  Residues::kLazy2q forms). The runtime's lazy-residue pass uses
+     *  consumed by a lazy-tolerant op (mul_inplace, to_coeff,
+     *  automorphism_ntt, fused_mac2, the Residues::kLazy2q form of
+     *  sub_mul_scalar_inplace). The runtime's lazy-residue pass uses
      *  this to skip canonicalization across graph-node boundaries. */
     void add_inplace_lazy(const RnsPoly& other);
     /** this = this + q - other per limb: canonical inputs land in
@@ -159,8 +157,9 @@ class RnsPoly
      * values mod q as to_ntt, one correction pass cheaper). The result
      * violates the canonical-storage invariant, so it is for transient
      * polynomials that are immediately consumed by a lazy-tolerant op
-     * (mul_inplace, the evaluator's key-switch inner product, or the
-     * Residues::kLazy2q forms above) — never for ciphertext storage.
+     * (mul_inplace, fused_mac2 — the evaluator's key-switch inner
+     * product — or the Residues::kLazy2q form of
+     * sub_mul_scalar_inplace) — never for ciphertext storage.
      */
     void to_ntt_lazy(const std::vector<const NttTables*>& tables);
     /** Inverse NTT on all rows (accepts lazy input; canonical output). */
@@ -174,6 +173,17 @@ class RnsPoly
      */
     RnsPoly automorphism(u64 galois_exp) const;
 
+    /**
+     * The same automorphism applied in the NTT domain, where it is a
+     * pure index permutation of the evaluation points: out[c] =
+     * this[perm[c]] with @p perm = ntt_galois_permutation(degree(),
+     * galois_exp). Equals to_coeff -> automorphism -> to_ntt bit for bit
+     * with no transform, and accepts lazy [0, 2q) input (the output is
+     * canonical). BTS prices HRot's automorphism the same way: as a
+     * data permutation on the NoC, not an NTT round trip.
+     */
+    RnsPoly automorphism_ntt(const std::vector<u32>& perm) const;
+
     /** Deep equality (same primes, domain, and residues). */
     bool equals(const RnsPoly& other) const;
 
@@ -183,5 +193,46 @@ class RnsPoly
     std::vector<u64> primes_;
     U64Buffer data_; //!< limb-major, primes_.size() * n_ words
 };
+
+/**
+ * Index table of the Galois automorphism X -> X^galois_exp over the
+ * forward NTT's bit-reversed evaluation points: output point i is
+ * psi^(2*br(i)+1), and sigma(a) evaluated there is a evaluated at
+ * psi^(g*(2*br(i)+1)), so perm[i] = br((g*(2*br(i)+1) mod 2N - 1) / 2).
+ * @p galois_exp must be odd; @p n a power of two.
+ */
+std::vector<u32> ntt_galois_permutation(std::size_t n, u64 galois_exp);
+
+/** One term of a fused_mac2 row: x is shared by both products. */
+struct MacTerm
+{
+    const u64* x;
+    const u64* y0;
+    const u64* y1;
+};
+
+/**
+ * Fused lazy multiply-accumulate over RNS rows — the MMAU's
+ * sum-then-reduce (Eq. 11) for the two-output inner products of
+ * key-switching (digit x evk_b / evk_a) and of BSGS giant steps
+ * (diagonal x baby.b / baby.a). For every limb i of @p out0 and every
+ * coefficient c:
+ *
+ *   out0[i][c] = sum_t x_t[src(c)] * y0_t[c]  mod q_i
+ *   out1[i][c] = sum_t x_t[src(c)] * y1_t[c]  mod q_i
+ *
+ * where (x_t, y0_t, y1_t) = @p terms[i * num_terms + t] are rows of N
+ * words and src(c) = perm[c] (the NTT-domain automorphism folded into
+ * the read) or c when @p perm is null. Operands may be lazy in
+ * [0, 2q). Products are summed in 128 bits and Barrett-reduced once
+ * per output; a wide prime or a long sum gets an intermediate
+ * reduction every K terms, K * 4q^2 + q <= q * 2^64. The output is
+ * canonical and equals per-term products summed with add_mod. @p out0
+ * and @p out1 must already have their primes and may be uninitialized;
+ * they must not alias any input row. Tiled over (limb x coefficient
+ * block).
+ */
+void fused_mac2(std::size_t num_terms, const std::vector<MacTerm>& terms,
+                const u32* perm, RnsPoly& out0, RnsPoly& out1);
 
 } // namespace bts

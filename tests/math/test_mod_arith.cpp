@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/random.h"
 
 namespace bts {
@@ -91,6 +93,52 @@ TEST(ModArith, BarrettMatchesDirect)
             const u128 v = (static_cast<u128>(rng.uniform(q)) << 64) |
                            rng.next();
             EXPECT_EQ(barrett.reduce(v), static_cast<u64>(v % q));
+        }
+    }
+}
+
+TEST(ModArith, InlineBarrettMatchesRemainderAtEdges)
+{
+    // The header-inline reducer forms its remainder in 64 bits with one
+    // conditional subtraction; pin it against the 128-bit remainder at
+    // the extremes of its contract (v < m * 2^64) and of the supported
+    // modulus width (m near 2^61).
+    const u64 max_m = (u64{1} << kMaxModulusBits) - 1;
+    Xoshiro256 rng(9);
+    const u64 moduli[] = {3,
+                          (u64{1} << 20) + 7,
+                          (u64{1} << 50) - 27,
+                          (u64{1} << 60) - 93,
+                          max_m,
+                          max_m - 2,
+                          max_m - 4094};
+    for (const u64 m : moduli) {
+        const Barrett barrett(m);
+        const u128 top = (static_cast<u128>(m) << 64) - 1; // m * 2^64 - 1
+        std::vector<u128> edges = {0,
+                                   1,
+                                   m - 1,
+                                   m,
+                                   m + 1,
+                                   static_cast<u128>(m) * m - 1,
+                                   static_cast<u128>(m - 1) * (m - 1),
+                                   (static_cast<u128>(2 * m - 1)) *
+                                       (2 * m - 1),
+                                   static_cast<u128>(~u64{0}),
+                                   static_cast<u128>(1) << 64,
+                                   top,
+                                   top - m,
+                                   top - 1,
+                                   (static_cast<u128>(m - 1) << 64)};
+        for (int i = 0; i < 2000; ++i) {
+            edges.push_back((static_cast<u128>(rng.uniform(m)) << 64) |
+                            rng.next());
+        }
+        for (const u128 v : edges) {
+            if (v > top) continue; // (2m-1)^2 exceeds the contract for tiny m
+            ASSERT_EQ(barrett.reduce(v), static_cast<u64>(v % m))
+                << "m=" << m << " v_hi=" << static_cast<u64>(v >> 64)
+                << " v_lo=" << static_cast<u64>(v);
         }
     }
 }

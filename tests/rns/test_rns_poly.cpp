@@ -76,23 +76,6 @@ TEST_F(RnsPolyTest, MulInplaceToleratesLazyOperands)
     EXPECT_TRUE(a_lazy.equals(expect)); // output canonical either way
 }
 
-TEST_F(RnsPolyTest, AddInplaceLazyFormMatchesCanonical)
-{
-    auto acc1 = random_poly(Domain::kCoeff, 43);
-    const auto src = random_poly(Domain::kCoeff, 44);
-    acc1.to_ntt(tables_);
-    auto acc2 = acc1;
-
-    auto src_canon = src;
-    src_canon.to_ntt(tables_);
-    acc1.add_inplace(src_canon);
-
-    auto src_lazy = src;
-    src_lazy.to_ntt_lazy(tables_);
-    acc2.add_inplace(src_lazy, RnsPoly::Residues::kLazy2q);
-    EXPECT_TRUE(acc2.equals(acc1));
-}
-
 TEST_F(RnsPolyTest, SubMulScalarFusedMatchesSeparateOps)
 {
     auto acc1 = random_poly(Domain::kCoeff, 45);
@@ -375,6 +358,155 @@ TEST_F(RnsPolyTest, AutomorphismPreservesRingMultiplication)
     sa.mul_inplace(sb);
     sa.to_coeff(tables_);
     EXPECT_TRUE(lhs.equals(sa));
+}
+
+TEST(AutomorphismNtt, MatchesCoefficientDomainRoundTrip)
+{
+    // automorphism_ntt is the NTT-domain image of automorphism(): an
+    // index permutation of the bit-reversed evaluation points. Pin it
+    // against to_coeff -> automorphism -> to_ntt for rotation exponents
+    // 5^k and conjugation 2N-1, on canonical and lazy [0, 2q) input.
+    for (std::size_t n = 1 << 8; n <= (1 << 12); n <<= 1) {
+        const u64 two_n = 2 * static_cast<u64>(n);
+        const std::vector<u64> primes = generate_ntt_primes(50, two_n, 2);
+        std::vector<std::unique_ptr<NttTables>> store;
+        std::vector<const NttTables*> tables;
+        for (u64 p : primes) {
+            store.push_back(std::make_unique<NttTables>(n, p));
+            tables.push_back(store.back().get());
+        }
+        Sampler s(n);
+        RnsPoly canonical(n, primes, Domain::kNtt);
+        for (std::size_t i = 0; i < primes.size(); ++i) {
+            canonical.component(i).copy_from(s.uniform_poly(n, primes[i]));
+        }
+        // Lazy copy: lift every third residue by q, and pin the extreme
+        // 2q - 1 (a residue of q - 1) at one point per limb.
+        RnsPoly lazy = canonical;
+        for (std::size_t i = 0; i < primes.size(); ++i) {
+            canonical.component(i)[5] = primes[i] - 1;
+            for (std::size_t c = 0; c < n; c += 3) {
+                lazy.component(i)[c] = canonical.component(i)[c] + primes[i];
+            }
+            lazy.component(i)[5] = 2 * primes[i] - 1;
+        }
+
+        std::vector<u64> exps = {two_n - 1};
+        for (u64 k : {u64{1}, u64{2}, u64{3}, u64{7}, n / 4 - 1, n / 2 - 1}) {
+            exps.push_back(pow_mod(5, k, two_n));
+        }
+        for (const u64 g : exps) {
+            RnsPoly ref = canonical;
+            ref.to_coeff(tables);
+            ref = ref.automorphism(g);
+            ref.to_ntt(tables);
+            const std::vector<u32> perm = ntt_galois_permutation(n, g);
+            EXPECT_TRUE(canonical.automorphism_ntt(perm).equals(ref))
+                << "n=" << n << " g=" << g;
+            EXPECT_TRUE(lazy.automorphism_ntt(perm).equals(ref))
+                << "lazy input, n=" << n << " g=" << g;
+        }
+    }
+}
+
+TEST(AutomorphismNtt, RejectsCoefficientDomainAndBadTables)
+{
+    const std::size_t n = 64;
+    const std::vector<u64> primes = generate_ntt_primes(40, 2 * n, 1);
+    const RnsPoly coeff(n, primes, Domain::kCoeff);
+    EXPECT_THROW(coeff.automorphism_ntt(ntt_galois_permutation(n, 5)),
+                 std::invalid_argument);
+    const RnsPoly ntt(n, primes, Domain::kNtt);
+    EXPECT_THROW(ntt.automorphism_ntt(ntt_galois_permutation(2 * n, 5)),
+                 std::invalid_argument);
+    EXPECT_THROW(ntt_galois_permutation(n, 4), std::invalid_argument);
+}
+
+TEST(AutomorphismNtt, PermutationIsABijectionAndComposes)
+{
+    const std::size_t n = 256;
+    const u64 two_n = 2 * n;
+    const auto p5 = ntt_galois_permutation(n, 5);
+    const auto p25 = ntt_galois_permutation(n, 25);
+    std::vector<bool> seen(n, false);
+    for (std::size_t c = 0; c < n; ++c) {
+        ASSERT_LT(p5[c], n);
+        EXPECT_FALSE(seen[p5[c]]);
+        seen[p5[c]] = true;
+        // sigma_5 o sigma_5 == sigma_25 as index maps.
+        EXPECT_EQ(p5[p5[c]], p25[c]);
+    }
+    const auto id = ntt_galois_permutation(n, two_n + 1); // == X -> X
+    for (std::size_t c = 0; c < n; ++c) EXPECT_EQ(id[c], c);
+}
+
+/** Reference for fused_mac2: per-term canonical products, add_mod. */
+void
+reference_mac2(const std::vector<u64>& primes, std::size_t n,
+               std::size_t num_terms, const std::vector<MacTerm>& terms,
+               const u32* perm, RnsPoly& out0, RnsPoly& out1)
+{
+    for (std::size_t i = 0; i < primes.size(); ++i) {
+        const u64 q = primes[i];
+        for (std::size_t c = 0; c < n; ++c) {
+            const std::size_t src = perm ? perm[c] : c;
+            u64 a0 = 0, a1 = 0;
+            for (std::size_t t = 0; t < num_terms; ++t) {
+                const MacTerm& m = terms[i * num_terms + t];
+                a0 = add_mod(a0, mul_mod(m.x[src], m.y0[c], q), q);
+                a1 = add_mod(a1, mul_mod(m.x[src], m.y1[c], q), q);
+            }
+            out0.component(i)[c] = a0;
+            out1.component(i)[c] = a1;
+        }
+    }
+}
+
+TEST(FusedMac2, MatchesPerTermReferenceIncludingOverflowGuard)
+{
+    // 61-bit primes put the guard at K = floor((2^64 - 1) / 4q) = 2
+    // terms, so every sum of 3+ terms reduces mid-way; 50-bit primes
+    // never do. Lazy operands pinned at 2q - 1 are the worst case for
+    // the 128-bit accumulator.
+    const std::size_t n = 256;
+    for (int bits : {50, 61}) {
+        const std::vector<u64> primes = generate_ntt_primes(bits, 2 * n, 2);
+        for (std::size_t num_terms : {1, 2, 3, 5, 9, 40}) {
+            Sampler s(bits * 100 + num_terms);
+            std::vector<std::vector<u64>> rows;
+            std::vector<MacTerm> terms(primes.size() * num_terms);
+            rows.reserve(terms.size() * 3);
+            for (std::size_t i = 0; i < primes.size(); ++i) {
+                const u64 q = primes[i];
+                for (std::size_t t = 0; t < num_terms; ++t) {
+                    for (int r = 0; r < 3; ++r) {
+                        std::vector<u64> row = s.uniform_poly(n, q);
+                        for (std::size_t c = 0; c < n; c += 2) row[c] += q;
+                        for (std::size_t c = 0; c < 8; ++c) row[c] = 2 * q - 1;
+                        rows.push_back(std::move(row));
+                    }
+                    const std::size_t base = rows.size() - 3;
+                    terms[i * num_terms + t] = {rows[base].data(),
+                                                rows[base + 1].data(),
+                                                rows[base + 2].data()};
+                }
+            }
+            const std::vector<u32> perm = ntt_galois_permutation(n, 5);
+            for (const u32* p : {static_cast<const u32*>(nullptr),
+                                 perm.data()}) {
+                RnsPoly got0(n, primes, Domain::kNtt, RnsPoly::Uninit{});
+                RnsPoly got1(n, primes, Domain::kNtt, RnsPoly::Uninit{});
+                fused_mac2(num_terms, terms, p, got0, got1);
+                RnsPoly want0(n, primes, Domain::kNtt);
+                RnsPoly want1(n, primes, Domain::kNtt);
+                reference_mac2(primes, n, num_terms, terms, p, want0, want1);
+                EXPECT_TRUE(got0.equals(want0))
+                    << bits << "-bit, " << num_terms << " terms, perm=" << !!p;
+                EXPECT_TRUE(got1.equals(want1))
+                    << bits << "-bit, " << num_terms << " terms, perm=" << !!p;
+            }
+        }
+    }
 }
 
 } // namespace
