@@ -18,6 +18,7 @@
 #include "ckks/keygen.h"
 #include "common/bit_ops.h"
 #include "common/parallel.h"
+#include "math/ifma.h"
 #include "math/prime_gen.h"
 #include "runtime/apps/helr.h"
 #include "runtime/apps/resnet.h"
@@ -998,4 +999,15 @@ BENCHMARK(BM_AppServing)
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char** argv)
+{
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+    // Which NTT/BConv kernel family this host dispatches — numbers from
+    // IFMA52 and scalar hosts are not comparable.
+    benchmark::AddCustomContext("kernel_isa", bts::kernel_isa());
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

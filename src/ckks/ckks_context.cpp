@@ -61,6 +61,10 @@ CkksContext::CkksContext(const CkksParams& params)
     // Rescale constants: dropping the prime at chain index `top` needs
     // [q_top]_{q_i} and a Shoup context for its inverse on every
     // remaining limb i < top.
+    word_reducer_.reserve(q_primes_.size());
+    for (const u64 qi : q_primes_) {
+        word_reducer_.push_back(ShoupMul::from_reduced(1, qi));
+    }
     rescale_q_mod_.resize(params.max_level + 1);
     rescale_inv_.resize(params.max_level + 1);
     for (int top = 1; top <= params.max_level; ++top) {
@@ -174,6 +178,14 @@ CkksContext::rescale_inv(int top, int i) const
     BTS_CHECK(top >= 1 && top <= params_.max_level && i >= 0 && i < top,
               "rescale constant index out of range");
     return rescale_inv_[top][i];
+}
+
+const ShoupMul&
+CkksContext::word_reducer(int i) const
+{
+    BTS_ASSERT(i >= 0 && i < static_cast<int>(word_reducer_.size()),
+               "word_reducer: chain index out of range");
+    return word_reducer_[i];
 }
 
 u64

@@ -114,6 +114,14 @@ class CkksContext
     /** Shoup context for [q_top^{-1}]_{q_i} (same indexing). */
     const ShoupMul& rescale_inv(int top, int i) const;
 
+    /**
+     * Shoup context for the constant 1 mod q_i (chain index @p i): its
+     * mul(x, q_i) is x mod q_i, exact for ANY 64-bit x, with one
+     * multiply-high instead of a hardware division — the per-coefficient
+     * reduction of the rescale and ModRaise lifts.
+     */
+    const ShoupMul& word_reducer(int i) const;
+
     /** [P]_q for prime q (P = product of special primes). */
     u64 p_mod(u64 q) const;
 
@@ -144,6 +152,7 @@ class CkksContext
     std::vector<RnsBase> q_bases_; // index = level
     std::vector<std::vector<u64>> rescale_q_mod_;      // [top][i], i < top
     std::vector<std::vector<ShoupMul>> rescale_inv_;   // [top][i], i < top
+    std::vector<ShoupMul> word_reducer_;               // [i]
     RnsBase p_base_;
     int log_pq_bits_;
     std::map<u64, std::unique_ptr<NttTables>> ntt_tables_;

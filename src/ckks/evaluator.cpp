@@ -414,9 +414,10 @@ Evaluator::rescale_poly(RnsPoly& poly) const
             const u64 qi = poly.prime(i);
             const u64 q_last_mod_qi =
                 ctx_.rescale_q_mod(top, static_cast<int>(i));
+            const ShoupMul& reduce = ctx_.word_reducer(static_cast<int>(i));
             u64* dst = lifted_base + i * n;
             for (std::size_t c = c0; c < c1; ++c) {
-                u64 v = last_base[c] % qi;
+                u64 v = reduce.mul(last_base[c], qi);
                 if (last_base[c] > half) v = sub_mod(v, q_last_mod_qi, qi);
                 dst[c] = v;
             }
@@ -698,10 +699,12 @@ Evaluator::mod_raise(const Ciphertext& ct) const
             [&](std::size_t i, std::size_t c0, std::size_t c1) {
                 const u64 qi = primes[i];
                 const u64 q0_mod_qi = q0 % qi;
+                const ShoupMul& reduce =
+                    ctx_.word_reducer(static_cast<int>(i));
                 u64* comp = out.component(i).data();
                 for (std::size_t c = c0; c < c1; ++c) {
                     // Centered lift of the mod-q0 residue into Z_qi.
-                    u64 v = base[c] % qi;
+                    u64 v = reduce.mul(base[c], qi);
                     if (base[c] > half) v = sub_mod(v, q0_mod_qi, qi);
                     comp[c] = v;
                 }

@@ -114,9 +114,9 @@ mod_to_signed(u64 v, u64 m)
 /**
  * Barrett reducer for a fixed modulus.
  *
- * Precomputes mu = floor(2^128 / m) as two 64-bit halves. reduce()
- * accepts any 128-bit value less than m * 2^64 and is exact after at
- * most one conditional subtraction.
+ * Precomputes mu = floor(2^128 / m) as two 64-bit halves. reduce() is
+ * exact for EVERY 128-bit value (see its proof) after at most one
+ * conditional subtraction.
  */
 class Barrett
 {
@@ -128,21 +128,26 @@ class Barrett
     u64 modulus() const { return m_; }
 
     /**
-     * Reduce a 128-bit value v < m * 2^64 modulo m. Inline: it is the
-     * inner step of every element-wise product, BConv sum and key-switch
-     * inner product. floor(v * mu / 2^128) undershoots floor(v / m) by
-     * at most one, and v < m * 2^64 keeps the quotient in one word, so
-     * the remainder is formed in 64 bits and needs a single conditional
-     * subtraction.
+     * Reduce any 128-bit value v modulo m. Inline: it is the inner step
+     * of every element-wise product, BConv sum and key-switch inner
+     * product.
+     *
+     * Exact for all v < 2^128. Let qt = floor(v * mu / 2^128). Since
+     * 2^128/m - 1 < mu <= 2^128/m, v/m - v/2^128 < v * mu / 2^128 <= v/m,
+     * and v/2^128 < 1, so floor(v/m) - 1 <= qt <= floor(v/m): the true
+     * remainder v - qt*m lies in [0, 2m). qt may exceed 64 bits (when
+     * v >= m * 2^64), but the remainder is below 2m < 2^64, so it is
+     * determined by v - qt*m mod 2^64 = v_lo - (qt mod 2^64) * m in
+     * wrapping 64-bit arithmetic; the quotient below is formed mod 2^64
+     * for exactly that reason.
      */
     u64
     reduce(u128 v) const
     {
         const u64 v_lo = static_cast<u64>(v);
         const u64 v_hi = static_cast<u64>(v >> 64);
-        BTS_DEBUG_ASSERT(v_hi < m_, "Barrett::reduce: input >= m * 2^64");
         // v * mu >> 128 = v_hi*mu_hi + hi64(v_hi*mu_lo) + hi64(v_lo*mu_hi)
-        //                 + the carry out of the middle column.
+        //                 + the carry out of the middle column (mod 2^64).
         const u128 mid1 = static_cast<u128>(v_hi) * mu_lo_;
         const u128 mid2 = static_cast<u128>(v_lo) * mu_hi_;
         const u64 lo_hi =

@@ -5,14 +5,8 @@
 #include "common/bit_ops.h"
 #include "common/check.h"
 #include "common/parallel.h"
+#include "math/ifma.h"
 #include "math/prime_gen.h"
-
-#if defined(BTS_USE_AVX2) && defined(__AVX2__)
-#define BTS_HAS_AVX2 1
-#include <immintrin.h>
-#else
-#define BTS_HAS_AVX2 0
-#endif
 
 namespace bts {
 
@@ -31,148 +25,6 @@ enum class FwdOut
     kCanonical,
 };
 
-#if BTS_HAS_AVX2
-
-// 4-wide u64 helpers. All lazy values are < 2^63 (q < 2^62), so the
-// signed 64-bit compares AVX2 provides are exact for our domain.
-
-inline __m256i
-mul_lo64(__m256i x, __m256i y)
-{
-    const __m256i lo = _mm256_mul_epu32(x, y);
-    const __m256i xh = _mm256_srli_epi64(x, 32);
-    const __m256i yh = _mm256_srli_epi64(y, 32);
-    const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(xh, y),
-                                           _mm256_mul_epu32(x, yh));
-    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-inline __m256i
-mul_hi64(__m256i x, __m256i y)
-{
-    const __m256i mask = _mm256_set1_epi64x(0xffffffffLL);
-    const __m256i xh = _mm256_srli_epi64(x, 32);
-    const __m256i yh = _mm256_srli_epi64(y, 32);
-    const __m256i ll = _mm256_mul_epu32(x, y);
-    const __m256i hl = _mm256_mul_epu32(xh, y);
-    const __m256i lh = _mm256_mul_epu32(x, yh);
-    const __m256i hh = _mm256_mul_epu32(xh, yh);
-    __m256i mid = _mm256_add_epi64(_mm256_srli_epi64(ll, 32),
-                                   _mm256_and_si256(hl, mask));
-    mid = _mm256_add_epi64(mid, _mm256_and_si256(lh, mask));
-    __m256i hi = _mm256_add_epi64(hh, _mm256_srli_epi64(hl, 32));
-    hi = _mm256_add_epi64(hi, _mm256_srli_epi64(lh, 32));
-    return _mm256_add_epi64(hi, _mm256_srli_epi64(mid, 32));
-}
-
-/** x - (x >= b ? b : 0), element-wise; requires x, b < 2^63. */
-inline __m256i
-csub64(__m256i x, __m256i b)
-{
-    const __m256i lt = _mm256_cmpgt_epi64(b, x); // lanes where x < b
-    return _mm256_sub_epi64(x, _mm256_andnot_si256(lt, b));
-}
-
-/** Lazy Shoup product in [0, 2q): x*w - floor(x*w_shoup / 2^64)*q. */
-inline __m256i
-shoup_lazy64(__m256i x, __m256i w, __m256i w_shoup, __m256i q)
-{
-    const __m256i quot = mul_hi64(x, w_shoup);
-    return _mm256_sub_epi64(mul_lo64(x, w), mul_lo64(quot, q));
-}
-
-template <FwdOut Out>
-inline std::size_t
-fwd_run_avx2(u64* x, u64* y, std::size_t count, const ShoupMul s, u64 q,
-             u64 two_q)
-{
-    const __m256i vw = _mm256_set1_epi64x(static_cast<long long>(s.w));
-    const __m256i vws =
-        _mm256_set1_epi64x(static_cast<long long>(s.w_shoup));
-    const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
-    const __m256i v2q = _mm256_set1_epi64x(static_cast<long long>(two_q));
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        __m256i vx =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + j));
-        const __m256i vy =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + j));
-        vx = csub64(vx, v2q);
-        const __m256i t = shoup_lazy64(vy, vw, vws, vq);
-        __m256i xo = _mm256_add_epi64(vx, t);
-        __m256i yo = _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), t);
-        if constexpr (Out != FwdOut::kLazy4q) {
-            xo = csub64(xo, v2q);
-            yo = csub64(yo, v2q);
-        }
-        if constexpr (Out == FwdOut::kCanonical) {
-            xo = csub64(xo, vq);
-            yo = csub64(yo, vq);
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + j), xo);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j), yo);
-    }
-    return j;
-}
-
-inline std::size_t
-inv_run_avx2(u64* x, u64* y, std::size_t count, const ShoupMul s, u64 q,
-             u64 two_q)
-{
-    const __m256i vw = _mm256_set1_epi64x(static_cast<long long>(s.w));
-    const __m256i vws =
-        _mm256_set1_epi64x(static_cast<long long>(s.w_shoup));
-    const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
-    const __m256i v2q = _mm256_set1_epi64x(static_cast<long long>(two_q));
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const __m256i vx =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + j));
-        const __m256i vy =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + j));
-        const __m256i xo = csub64(_mm256_add_epi64(vx, vy), v2q);
-        const __m256i diff =
-            _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), vy);
-        const __m256i yo = shoup_lazy64(diff, vw, vws, vq);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + j), xo);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j), yo);
-    }
-    return j;
-}
-
-inline std::size_t
-inv_last_run_avx2(u64* x, u64* y, std::size_t count, const ShoupMul inv_n,
-                  const ShoupMul inv_n_w, u64 q, u64 two_q)
-{
-    const __m256i vnw = _mm256_set1_epi64x(static_cast<long long>(inv_n.w));
-    const __m256i vnws =
-        _mm256_set1_epi64x(static_cast<long long>(inv_n.w_shoup));
-    const __m256i vww =
-        _mm256_set1_epi64x(static_cast<long long>(inv_n_w.w));
-    const __m256i vwws =
-        _mm256_set1_epi64x(static_cast<long long>(inv_n_w.w_shoup));
-    const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
-    const __m256i v2q = _mm256_set1_epi64x(static_cast<long long>(two_q));
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const __m256i vx =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + j));
-        const __m256i vy =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + j));
-        const __m256i sum = _mm256_add_epi64(vx, vy);
-        const __m256i diff =
-            _mm256_sub_epi64(_mm256_add_epi64(vx, v2q), vy);
-        // Full Shoup product: lazy form + one conditional subtraction.
-        const __m256i xo = csub64(shoup_lazy64(sum, vnw, vnws, vq), vq);
-        const __m256i yo = csub64(shoup_lazy64(diff, vww, vwws, vq), vq);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + j), xo);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(y + j), yo);
-    }
-    return j;
-}
-
-#endif // BTS_HAS_AVX2
-
 /**
  * One forward (DIT) Harvey butterfly run over @p count unit-stride
  * pairs sharing one twiddle: x' = x mod 2q; t = lazy Shoup y*w in
@@ -185,11 +37,7 @@ inline void
 fwd_run(u64* x, u64* y, std::size_t count, const ShoupMul s, u64 q,
         u64 two_q)
 {
-    std::size_t j = 0;
-#if BTS_HAS_AVX2
-    j = fwd_run_avx2<Out>(x, y, count, s, q, two_q);
-#endif
-    for (; j < count; ++j) {
+    for (std::size_t j = 0; j < count; ++j) {
         const u64 u = reduce_2q(x[j], two_q);
         const u64 t = s.mul_lazy(y[j], q);
         u64 xo = add_lazy(u, t);
@@ -215,11 +63,7 @@ inline void
 inv_run(u64* x, u64* y, std::size_t count, const ShoupMul s, u64 q,
         u64 two_q)
 {
-    std::size_t j = 0;
-#if BTS_HAS_AVX2
-    j = inv_run_avx2(x, y, count, s, q, two_q);
-#endif
-    for (; j < count; ++j) {
+    for (std::size_t j = 0; j < count; ++j) {
         const u64 u = x[j];
         const u64 v = y[j];
         x[j] = reduce_2q(add_lazy(u, v), two_q);
@@ -237,11 +81,7 @@ inline void
 inv_last_run(u64* x, u64* y, std::size_t count, const ShoupMul inv_n,
              const ShoupMul inv_n_w, u64 q, u64 two_q)
 {
-    std::size_t j = 0;
-#if BTS_HAS_AVX2
-    j = inv_last_run_avx2(x, y, count, inv_n, inv_n_w, q, two_q);
-#endif
-    for (; j < count; ++j) {
+    for (std::size_t j = 0; j < count; ++j) {
         const u64 u = x[j];
         const u64 v = y[j];
         x[j] = inv_n.mul(add_lazy(u, v), q);
@@ -249,16 +89,442 @@ inv_last_run(u64* x, u64* y, std::size_t count, const ShoupMul inv_n,
     }
 }
 
+// ----- 52-bit butterflies (tables dispatched to IFMA52) -----------------
+//
+// The same Harvey domains as above, with the IFMA lazy Shoup product of
+// math/ifma.h: its multiplicand must be below 2q (< 2^52), so the
+// forward butterfly reduces Y and the inverse reduces X - Y + 2q before
+// multiplying. Products land in [0, 2q) like the 64-bit lazy form, but
+// may differ from it by q: lazy outputs are congruent, canonical outputs
+// identical. Each butterfly below is the scalar emulation the vector
+// kernels run on their sub-vector heads and tails, so any partition of
+// a stage computes the same bits.
+
+/** The 52-bit Shoup quotient floor(w * 2^52 / q) from the 64-bit one. */
+inline u64
+shoup52(const ShoupMul& s)
+{
+    return s.w_shoup >> 12;
+}
+
+template <FwdOut Out>
+inline void
+fwd_bfly52(u64& x, u64& y, const ShoupMul& s, u64 q, u64 two_q)
+{
+    const u64 u = reduce_2q(x, two_q);
+    const u64 t = shoup52_lazy(reduce_2q(y, two_q), s.w, shoup52(s), q);
+    u64 xo = add_lazy(u, t);
+    u64 yo = sub_lazy_2q(u, t, two_q);
+    if constexpr (Out != FwdOut::kLazy4q) {
+        xo = reduce_2q(xo, two_q);
+        yo = reduce_2q(yo, two_q);
+    }
+    if constexpr (Out == FwdOut::kCanonical) {
+        xo = xo >= q ? xo - q : xo;
+        yo = yo >= q ? yo - q : yo;
+    }
+    x = xo;
+    y = yo;
+}
+
+inline void
+inv_bfly52(u64& x, u64& y, const ShoupMul& s, u64 q, u64 two_q)
+{
+    const u64 u = x;
+    const u64 v = y;
+    x = reduce_2q(add_lazy(u, v), two_q);
+    y = shoup52_lazy(reduce_2q(sub_lazy_2q(u, v, two_q), two_q), s.w,
+                     shoup52(s), q);
+}
+
+inline void
+inv_last_bfly52(u64& x, u64& y, const ShoupMul& inv_n,
+                const ShoupMul& inv_n_w, u64 q, u64 two_q)
+{
+    const u64 u = x;
+    const u64 v = y;
+    const u64 xo = shoup52_lazy(reduce_2q(add_lazy(u, v), two_q), inv_n.w,
+                                shoup52(inv_n), q);
+    const u64 yo =
+        shoup52_lazy(reduce_2q(sub_lazy_2q(u, v, two_q), two_q), inv_n_w.w,
+                     shoup52(inv_n_w), q);
+    x = xo >= q ? xo - q : xo;
+    y = yo >= q ? yo - q : yo;
+}
+
+/** Butterfly @p b of a stage with half-width @p t: the pair
+ *  (a[2gt + k], a[2gt + k + t]) for g = b / t, k = b mod t. */
+inline u64*
+bfly_x(u64* a, std::size_t t, std::size_t b)
+{
+    const std::size_t g = b / t;
+    return a + 2 * g * t + (b - g * t);
+}
+
+template <FwdOut Out>
+void
+fwd_emul52(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+           std::size_t b1, u64 q)
+{
+    for (std::size_t b = b0; b < b1; ++b) {
+        u64* x = bfly_x(a, t, b);
+        fwd_bfly52<Out>(x[0], x[t], tw[b / t], q, 2 * q);
+    }
+}
+
+void
+inv_emul52(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+           std::size_t b1, u64 q)
+{
+    for (std::size_t b = b0; b < b1; ++b) {
+        u64* x = bfly_x(a, t, b);
+        inv_bfly52(x[0], x[t], tw[b / t], q, 2 * q);
+    }
+}
+
+void
+inv_last_emul52(u64* a, std::size_t t, const ShoupMul& inv_n,
+                const ShoupMul& inv_n_w, std::size_t b0, std::size_t b1,
+                u64 q)
+{
+    for (std::size_t b = b0; b < b1; ++b) {
+        inv_last_bfly52(a[b], a[b + t], inv_n, inv_n_w, q, 2 * q);
+    }
+}
+
+#if BTS_IFMA_COMPILED
+
+/**
+ * Lane shuffles of the t = 1, 2, 4 stages. Eight butterflies starting
+ * at a multiple of 8 cover the 16 words a[2b .. 2b+16); with lo/hi the
+ * two loaded halves, permutex2var(lo, x, hi) gathers the eight X words
+ * and y the eight Y words; permutex2var(X, lo, Y) / (X, hi, Y) scatter
+ * the results back. w and s pick each lane's twiddle word and Shoup
+ * word from the group's ShoupMul entries (two loads for t = 1).
+ */
+struct StagePerm
+{
+    u64 x[8], y[8], lo[8], hi[8], w[8], s[8];
+};
+
+constexpr StagePerm
+make_stage_perm(std::size_t t)
+{
+    StagePerm p{};
+    for (std::size_t l = 0; l < 8; ++l) {
+        const std::size_t g = l / t;
+        p.x[l] = 2 * g * t + l % t;
+        p.y[l] = p.x[l] + t;
+        p.w[l] = 2 * g;
+        p.s[l] = 2 * g + 1;
+    }
+    for (std::size_t e = 0; e < 16; ++e) {
+        const std::size_t g = e / (2 * t);
+        const std::size_t r = e % (2 * t);
+        const u64 lane = r < t ? g * t + r : 8 + g * t + r - t;
+        if (e < 8) {
+            p.lo[e] = lane;
+        } else {
+            p.hi[e - 8] = lane;
+        }
+    }
+    return p;
+}
+
+constexpr StagePerm kStagePerm[3] = {make_stage_perm(1), make_stage_perm(2),
+                                     make_stage_perm(4)};
+
+static_assert(sizeof(ShoupMul) == 2 * sizeof(u64),
+              "twiddle loads read ShoupMul as {w, w_shoup} word pairs");
+
+/** The shuffle vectors of one small-t stage, loaded once per call. */
+struct SmallStage
+{
+    std::size_t t;
+    __m512i x, y, lo, hi, w, s;
+
+    BTS_IFMA_TARGET explicit SmallStage(std::size_t t_) : t(t_)
+    {
+        const StagePerm& p = kStagePerm[t == 1 ? 0 : t == 2 ? 1 : 2];
+        x = ifma::load(p.x);
+        y = ifma::load(p.y);
+        lo = ifma::load(p.lo);
+        hi = ifma::load(p.hi);
+        w = ifma::load(p.w);
+        s = ifma::load(p.s);
+    }
+
+    /** Split a[2b .. 2b+16) into its X and Y lanes. */
+    BTS_IFMA_TARGET void
+    gather(const u64* blk, __m512i& vx, __m512i& vy) const
+    {
+        const __m512i l = ifma::load(blk);
+        const __m512i h = ifma::load(blk + 8);
+        vx = _mm512_permutex2var_epi64(l, x, h);
+        vy = _mm512_permutex2var_epi64(l, y, h);
+    }
+
+    BTS_IFMA_TARGET void
+    scatter(u64* blk, __m512i vx, __m512i vy) const
+    {
+        ifma::store(blk, _mm512_permutex2var_epi64(vx, lo, vy));
+        ifma::store(blk + 8, _mm512_permutex2var_epi64(vx, hi, vy));
+    }
+
+    /** Per-lane twiddle and 52-bit Shoup words of the 8/t groups
+     *  starting at @p tw. */
+    BTS_IFMA_TARGET void
+    twiddles(const ShoupMul* tw, __m512i& vw, __m512i& vs) const
+    {
+        const u64* words = &tw->w;
+        // 16/t words: a masked load for t = 4 stays inside the table.
+        const __m512i v0 = t == 4 ? _mm512_maskz_loadu_epi64(0x0F, words)
+                                  : ifma::load(words);
+        const __m512i v1 = t == 1 ? ifma::load(words + 8) : v0;
+        vw = _mm512_permutex2var_epi64(v0, w, v1);
+        // maskz form: GCC 12 flags the undefined passthrough of
+        // _mm512_srli_epi64 as -Wmaybe-uninitialized.
+        vs = _mm512_maskz_srli_epi64(0xFF,
+                                     _mm512_permutex2var_epi64(v0, s, v1),
+                                     12);
+    }
+};
+
+/** Moduli broadcast once per stage call. */
+struct VecMod
+{
+    __m512i q, two_q, neg_q;
+
+    BTS_IFMA_TARGET explicit VecMod(u64 m)
+        : q(ifma::splat(m)), two_q(ifma::splat(2 * m)),
+          neg_q(ifma::splat(0 - m))
+    {}
+};
+
+template <FwdOut Out>
+BTS_IFMA_TARGET inline void
+fwd_bfly_v(__m512i& x, __m512i& y, __m512i w, __m512i ws, const VecMod& m)
+{
+    const __m512i u = ifma::csub(x, m.two_q);
+    const __m512i t = ifma::shoup_lazy(ifma::csub(y, m.two_q), w, ws,
+                                       m.neg_q);
+    __m512i xo = _mm512_add_epi64(u, t);
+    __m512i yo = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), t);
+    if constexpr (Out != FwdOut::kLazy4q) {
+        xo = ifma::csub(xo, m.two_q);
+        yo = ifma::csub(yo, m.two_q);
+    }
+    if constexpr (Out == FwdOut::kCanonical) {
+        xo = ifma::csub(xo, m.q);
+        yo = ifma::csub(yo, m.q);
+    }
+    x = xo;
+    y = yo;
+}
+
+BTS_IFMA_TARGET inline void
+inv_bfly_v(__m512i& x, __m512i& y, __m512i w, __m512i ws, const VecMod& m)
+{
+    const __m512i u = x;
+    const __m512i v = y;
+    x = ifma::csub(_mm512_add_epi64(u, v), m.two_q);
+    const __m512i d =
+        ifma::csub(_mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v),
+                   m.two_q);
+    y = ifma::shoup_lazy(d, w, ws, m.neg_q);
+}
+
+/** Butterfly policies of stage_ifma: the vector body and the scalar
+ *  emulation of the same 52-bit butterfly. */
+template <FwdOut Out>
+struct FwdStage
+{
+    BTS_IFMA_TARGET static void
+    vec(__m512i& x, __m512i& y, __m512i w, __m512i ws, const VecMod& m)
+    {
+        fwd_bfly_v<Out>(x, y, w, ws, m);
+    }
+
+    static void
+    emul(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+         std::size_t b1, u64 q)
+    {
+        fwd_emul52<Out>(a, t, tw, b0, b1, q);
+    }
+};
+
+struct InvStage
+{
+    BTS_IFMA_TARGET static void
+    vec(__m512i& x, __m512i& y, __m512i w, __m512i ws, const VecMod& m)
+    {
+        inv_bfly_v(x, y, w, ws, m);
+    }
+
+    static void
+    emul(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+         std::size_t b1, u64 q)
+    {
+        inv_emul52(a, t, tw, b0, b1, q);
+    }
+};
+
+/**
+ * Stage butterflies [b0, b1) of half-width @p t; group g uses twiddle
+ * tw[g]. t >= 8 runs 8 butterflies of one group per vector (from any
+ * offset); t = 1, 2, 4 shuffle 8 butterflies of 8/t groups per vector,
+ * at multiples of 8. Everything else is emulated.
+ */
+template <class Stage>
+BTS_IFMA_TARGET void
+stage_ifma(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+           std::size_t b1, u64 q)
+{
+    ifma::ZeroUpperOnExit clear_upper;
+    const VecMod vm(q);
+    if (t >= 8) {
+        std::size_t b = b0;
+        while (b < b1) {
+            const std::size_t g = b / t;
+            const std::size_t k = b - g * t;
+            const std::size_t run = std::min(t - k, b1 - b);
+            u64* x = a + 2 * g * t + k;
+            u64* y = x + t;
+            const __m512i w = ifma::splat(tw[g].w);
+            const __m512i ws = ifma::splat(shoup52(tw[g]));
+            std::size_t j = 0;
+            for (; j + 8 <= run; j += 8) {
+                __m512i vx = ifma::load(x + j);
+                __m512i vy = ifma::load(y + j);
+                Stage::vec(vx, vy, w, ws, vm);
+                ifma::store(x + j, vx);
+                ifma::store(y + j, vy);
+            }
+            Stage::emul(a, t, tw, b + j, b + run, q);
+            b += run;
+        }
+        return;
+    }
+    const SmallStage st(t);
+    std::size_t b = std::min(b1, (b0 + 7) & ~std::size_t{7});
+    Stage::emul(a, t, tw, b0, b, q);
+    for (; b + 8 <= b1; b += 8) {
+        __m512i vx;
+        __m512i vy;
+        __m512i w;
+        __m512i ws;
+        st.gather(a + 2 * b, vx, vy);
+        st.twiddles(tw + b / t, w, ws);
+        Stage::vec(vx, vy, w, ws, vm);
+        st.scatter(a + 2 * b, vx, vy);
+    }
+    Stage::emul(a, t, tw, b, b1, q);
+}
+
+template <FwdOut Out>
+void
+fwd_stage_ifma(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+               std::size_t b1, u64 q)
+{
+    stage_ifma<FwdStage<Out>>(a, t, tw, b0, b1, q);
+}
+
+void
+inv_stage_ifma(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+               std::size_t b1, u64 q)
+{
+    stage_ifma<InvStage>(a, t, tw, b0, b1, q);
+}
+
+/** The fused-N^{-1} last inverse stage (one group of half-width t):
+ *  butterflies [b0, b1), canonical output. */
+BTS_IFMA_TARGET void
+inv_last_stage_ifma(u64* a, std::size_t t, const ShoupMul& inv_n,
+                    const ShoupMul& inv_n_w, std::size_t b0, std::size_t b1,
+                    u64 q)
+{
+    ifma::ZeroUpperOnExit clear_upper;
+    const VecMod vm(q);
+    const __m512i nw = ifma::splat(inv_n.w);
+    const __m512i nws = ifma::splat(shoup52(inv_n));
+    const __m512i ww = ifma::splat(inv_n_w.w);
+    const __m512i wws = ifma::splat(shoup52(inv_n_w));
+    std::size_t b = b0;
+    for (; b + 8 <= b1; b += 8) {
+        const __m512i u = ifma::load(a + b);
+        const __m512i v = ifma::load(a + b + t);
+        const __m512i sum = ifma::csub(_mm512_add_epi64(u, v), vm.two_q);
+        const __m512i diff = ifma::csub(
+            _mm512_sub_epi64(_mm512_add_epi64(u, vm.two_q), v), vm.two_q);
+        ifma::store(a + b,
+                    ifma::csub(ifma::shoup_lazy(sum, nw, nws, vm.neg_q),
+                               vm.q));
+        ifma::store(a + b + t,
+                    ifma::csub(ifma::shoup_lazy(diff, ww, wws, vm.neg_q),
+                               vm.q));
+    }
+    inv_last_emul52(a, t, inv_n, inv_n_w, b, b1, q);
+}
+
+#else // !BTS_IFMA_COMPILED: NttTables never selects kIfma52 here.
+
+template <FwdOut Out>
+void
+fwd_stage_ifma(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+               std::size_t b1, u64 q)
+{
+    fwd_emul52<Out>(a, t, tw, b0, b1, q);
+}
+
+void
+inv_stage_ifma(u64* a, std::size_t t, const ShoupMul* tw, std::size_t b0,
+               std::size_t b1, u64 q)
+{
+    inv_emul52(a, t, tw, b0, b1, q);
+}
+
+void
+inv_last_stage_ifma(u64* a, std::size_t t, const ShoupMul& inv_n,
+                    const ShoupMul& inv_n_w, std::size_t b0, std::size_t b1,
+                    u64 q)
+{
+    inv_last_emul52(a, t, inv_n, inv_n_w, b0, b1, q);
+}
+
+#endif // BTS_IFMA_COMPILED
+
+/** One forward stage m over butterflies [b0, b1) on an IFMA table;
+ *  the last stage reduces per @p Out. */
+template <FwdOut Out>
+void
+fwd_stage52(u64* a, std::size_t n, std::size_t m, const ShoupMul* psi_br,
+            std::size_t b0, std::size_t b1, u64 q)
+{
+    const std::size_t t = n / (2 * m);
+    if ((m << 1) == n) {
+        fwd_stage_ifma<Out>(a, t, psi_br + m, b0, b1, q);
+    } else {
+        fwd_stage_ifma<FwdOut::kLazy4q>(a, t, psi_br + m, b0, b1, q);
+    }
+}
+
 } // namespace
 
 NttTables::NttTables(std::size_t n, u64 prime)
-    : n_(n), log_n_(log2_exact(n)), prime_(prime)
+    : NttTables(n, prime, dispatch_isa(prime))
+{}
+
+NttTables::NttTables(std::size_t n, u64 prime, KernelIsa isa)
+    : n_(n), log_n_(log2_exact(n)), prime_(prime), isa_(isa)
 {
     BTS_CHECK(is_power_of_two(n), "NTT size must be a power of two");
     BTS_CHECK(prime % (2 * n) == 1, "prime must be 1 mod 2N");
     BTS_CHECK((prime >> kMaxModulusBits) == 0,
               "modulus exceeds kMaxModulusBits — the Harvey lazy domain "
               "[0, 4q) requires q < 2^62");
+    BTS_CHECK(isa == KernelIsa::kScalar ||
+                  dispatch_isa(prime) == KernelIsa::kIfma52,
+              "IFMA52 kernels need CPU support and a modulus below 2^51");
 
     psi_ = find_primitive_root(prime, 2 * static_cast<u64>(n));
     const u64 psi_inv = inv_mod(psi_, prime);
@@ -311,23 +577,47 @@ forward_impl(u64* a, std::size_t n, const ShoupMul* psi_br, u64 q)
     }
 }
 
+/** The whole forward transform on an IFMA table, stage by stage. */
+template <FwdOut Out>
+void
+forward52(u64* a, std::size_t n, const ShoupMul* psi_br, u64 q)
+{
+    for (std::size_t m = 1; m < n; m <<= 1) {
+        fwd_stage52<Out>(a, n, m, psi_br, 0, n / 2, q);
+    }
+}
+
 } // namespace
 
 void
 NttTables::forward(u64* a) const
 {
-    forward_impl<FwdOut::kCanonical>(a, n_, psi_br_.data(), prime_);
+    if (isa_ == KernelIsa::kIfma52) {
+        forward52<FwdOut::kCanonical>(a, n_, psi_br_.data(), prime_);
+    } else {
+        forward_impl<FwdOut::kCanonical>(a, n_, psi_br_.data(), prime_);
+    }
 }
 
 void
 NttTables::forward_lazy(u64* a) const
 {
-    forward_impl<FwdOut::kLazy2q>(a, n_, psi_br_.data(), prime_);
+    if (isa_ == KernelIsa::kIfma52) {
+        forward52<FwdOut::kLazy2q>(a, n_, psi_br_.data(), prime_);
+    } else {
+        forward_impl<FwdOut::kLazy2q>(a, n_, psi_br_.data(), prime_);
+    }
 }
 
 void
 NttTables::inverse(u64* a) const
 {
+    if (isa_ == KernelIsa::kIfma52) {
+        for (std::size_t m = n_; m > 1; m >>= 1) {
+            inverse_stage(a, m, 0, n_ / 2);
+        }
+        return;
+    }
     const u64 q = prime_;
     const u64 two_q = 2 * q;
     std::size_t t = 1;
@@ -352,6 +642,16 @@ NttTables::forward_stage(u64* a, std::size_t m, std::size_t b_begin,
 {
     // Stage m has m groups of t butterflies; butterfly b lives in group
     // g = b / t at offset k, pairing a[2gt + k] with a[2gt + k + t].
+    if (isa_ == KernelIsa::kIfma52) {
+        if (lazy_output) {
+            fwd_stage52<FwdOut::kLazy2q>(a, n_, m, psi_br_.data(), b_begin,
+                                         b_end, prime_);
+        } else {
+            fwd_stage52<FwdOut::kCanonical>(a, n_, m, psi_br_.data(),
+                                            b_begin, b_end, prime_);
+        }
+        return;
+    }
     const u64 q = prime_;
     const u64 two_q = 2 * q;
     const std::size_t t = n_ / (2 * m);
@@ -384,6 +684,14 @@ NttTables::inverse_stage(u64* a, std::size_t m, std::size_t b_begin,
     const std::size_t t = n_ / m;
     const std::size_t h = m >> 1;
     const bool last = m == 2;
+    if (isa_ == KernelIsa::kIfma52) {
+        if (last) {
+            inv_last_stage_ifma(a, t, inv_n_, inv_n_w_, b_begin, b_end, q);
+        } else {
+            inv_stage_ifma(a, t, psi_inv_br_.data() + h, b_begin, b_end, q);
+        }
+        return;
+    }
     std::size_t b = b_begin;
     while (b < b_end) {
         const std::size_t g = b / t;

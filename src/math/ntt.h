@@ -30,15 +30,24 @@
  * The pre-Harvey fully-reduced scalar path is kept verbatim as
  * forward_oracle()/inverse_oracle(): the differential test oracle.
  *
- * When built with -DBTS_USE_AVX2=ON (and an AVX2-capable CPU) the
- * butterfly inner loops additionally dispatch to 4-wide intrinsics
- * kernels; results are bit-identical to the scalar lazy path.
+ * Kernels are picked per table at run time (math/ifma.h): on a CPU with
+ * AVX-512 IFMA52 and a modulus below 2^51, every stage runs 8-lane
+ * 52-bit Shoup butterflies — t >= 8 stages one group per vector, the
+ * t = 1, 2, 4 stages with in-register lane shuffles, sub-vector tails
+ * with a scalar emulation of the same 52-bit butterfly. These keep the
+ * lazy domains above, but their Shoup multiplicands must stay below 2q,
+ * so the forward butterfly reduces Y (and the inverse X - Y + 2q) first;
+ * a lazy output may then differ from the 64-bit kernel's by q.
+ * Canonical outputs (forward, inverse) are bit-identical across
+ * kernels; lazy ones are congruent and below 2q. Every other table runs
+ * the portable 64-bit kernel.
  */
 #pragma once
 
 #include <vector>
 
 #include "common/types.h"
+#include "math/ifma.h"
 #include "math/mod_arith.h"
 
 namespace bts {
@@ -51,13 +60,20 @@ class NttTables
      * Build tables for degree @p n (power of two) and modulus @p prime
      * (must satisfy prime == 1 mod 2n and fit kMaxModulusBits, the
      * lazy-domain bound). Twiddle power chains are built with a Barrett
-     * reducer — no 128-bit division per entry.
+     * reducer — no 128-bit division per entry. The kernel is
+     * dispatch_isa(prime).
      */
     NttTables(std::size_t n, u64 prime);
+
+    /** As above with an explicit kernel; kIfma52 requires
+     *  dispatch_isa(prime) == kIfma52 (tests pin the kernels against
+     *  each other with it). */
+    NttTables(std::size_t n, u64 prime, KernelIsa isa);
 
     std::size_t n() const { return n_; }
     u64 modulus() const { return prime_; }
     u64 psi() const { return psi_; }
+    KernelIsa isa() const { return isa_; }
 
     /** In-place forward negacyclic NTT; output canonical in [0, q),
      *  bit-reversed order. */
@@ -79,7 +95,8 @@ class NttTables
     // butterflies; the batch drivers below split each stage across
     // lanes when there are fewer limbs than threads (the paper's PE
     // mapping, Section 4.3). Butterflies are indexed 0..N/2-1 in stage
-    // order; any partition of that range computes the same bits.
+    // order; any partition of that range computes the same bits, and
+    // the same bits as the whole-limb entry points of the same table.
 
     /** Forward-stage butterflies [b_begin, b_end) for stage @p m
      *  (m = 1, 2, 4, ..., N/2 in execution order). The final stage
@@ -114,6 +131,7 @@ class NttTables
     u64 prime_;
     u64 psi_;   // primitive 2n-th root of unity
     u64 n_inv_; // n^{-1} mod prime
+    KernelIsa isa_;
 
     std::vector<ShoupMul> psi_br_;     // psi powers, bit-reversed order
     std::vector<ShoupMul> psi_inv_br_; // inverse psi powers, bit-reversed

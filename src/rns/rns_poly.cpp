@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 
 #include "common/bit_ops.h"
 #include "common/check.h"
@@ -512,8 +513,11 @@ fused_mac2(std::size_t num_terms, const std::vector<MacTerm>& terms,
         const u64 q = out0.prime(i);
         barrett[i] = Barrett(q);
         // Operands below 2q make each product < 4q^2; K such terms on
-        // top of a reduced partial sum stay below q * 2^64.
-        guard[i] = ~u64{0} / (4 * q);
+        // top of a reduced partial sum (< q) stay below 2^128, the
+        // bound of Barrett::reduce: 16 terms at 61 bits, 64 at 60.
+        const u128 k = (~u128{0} - q) / (4 * static_cast<u128>(q) * q);
+        guard[i] = static_cast<std::size_t>(std::clamp<u128>(
+            k, 1, std::numeric_limits<std::size_t>::max()));
     }
     u64* const base0 = out0.data();
     u64* const base1 = out1.data();

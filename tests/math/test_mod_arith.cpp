@@ -100,10 +100,12 @@ TEST(ModArith, BarrettMatchesDirect)
 TEST(ModArith, InlineBarrettMatchesRemainderAtEdges)
 {
     // The header-inline reducer forms its remainder in 64 bits with one
-    // conditional subtraction; pin it against the 128-bit remainder at
-    // the extremes of its contract (v < m * 2^64) and of the supported
-    // modulus width (m near 2^61).
+    // conditional subtraction; pin it against the 128-bit remainder
+    // over its whole domain (every v < 2^128, including the old
+    // m * 2^64 boundary and 2^128 - 1) and at the extremes of the
+    // supported modulus width (m near 2^61).
     const u64 max_m = (u64{1} << kMaxModulusBits) - 1;
+    const u128 all_ones = ~u128{0}; // 2^128 - 1
     Xoshiro256 rng(9);
     const u64 moduli[] = {3,
                           (u64{1} << 20) + 7,
@@ -129,13 +131,23 @@ TEST(ModArith, InlineBarrettMatchesRemainderAtEdges)
                                    top,
                                    top - m,
                                    top - 1,
-                                   (static_cast<u128>(m - 1) << 64)};
+                                   top + 1,
+                                   top + m,
+                                   (static_cast<u128>(m - 1) << 64),
+                                   all_ones,
+                                   all_ones - 1,
+                                   all_ones - m,
+                                   all_ones - all_ones % m,
+                                   all_ones - all_ones % m - 1,
+                                   all_ones >> 1,
+                                   (static_cast<u128>(1) << 127) - 1};
         for (int i = 0; i < 2000; ++i) {
             edges.push_back((static_cast<u128>(rng.uniform(m)) << 64) |
                             rng.next());
+            edges.push_back((static_cast<u128>(rng.next()) << 64) |
+                            rng.next());
         }
         for (const u128 v : edges) {
-            if (v > top) continue; // (2m-1)^2 exceeds the contract for tiny m
             ASSERT_EQ(barrett.reduce(v), static_cast<u64>(v % m))
                 << "m=" << m << " v_hi=" << static_cast<u64>(v >> 64)
                 << " v_lo=" << static_cast<u64>(v);

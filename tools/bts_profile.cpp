@@ -37,6 +37,7 @@
 #include "ckks/evaluator.h"
 #include "ckks/keygen.h"
 #include "common/random.h"
+#include "math/ifma.h"
 #include "runtime/apps/helr.h"
 #include "runtime/apps/resnet.h"
 #include "runtime/apps/sort.h"
@@ -341,7 +342,8 @@ run(const Args& args)
         std::cout << tel::render_profile_json(report) << "\n";
     } else {
         std::cout << "graph: " << reg->graph.name() << "  lanes: "
-                  << args.lanes << "  jobs: " << args.jobs << "\n"
+                  << args.lanes << "  jobs: " << args.jobs
+                  << "  kernel: " << kernel_isa() << "\n"
                   << tel::render_profile_text(report);
     }
 
