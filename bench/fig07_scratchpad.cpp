@@ -12,6 +12,8 @@
 #include <cstdio>
 
 #include "hwparams/explorer.h"
+#include "runtime/graph_workloads.h"
+#include "runtime/lowering.h"
 #include "sim/engine.h"
 #include "workloads/workloads.h"
 
@@ -25,10 +27,10 @@ main()
         sim::BtsConfig hw512;
         sim::BtsConfig hw2g;
         hw2g.scratchpad_bytes = 2048.0 * (1 << 20);
-        const auto r512 = sim::BtsSimulator(hw512, inst)
-                              .run(workloads::tmult_microbench(inst));
-        const auto r2g = sim::BtsSimulator(hw2g, inst)
-                             .run(workloads::tmult_microbench(inst));
+        const sim::Trace tmult =
+            runtime::lower_to_trace(runtime::tmult_graph(inst), inst);
+        const auto r512 = sim::BtsSimulator(hw512, inst).run(tmult);
+        const auto r2g = sim::BtsSimulator(hw2g, inst).run(tmult);
         printf("%-8s %10.1fns %10.1fns %10.1fns\n", inst.name.c_str(),
                hw::min_bound_tmult_ns(inst), r512.tmult_a_slot_ns,
                r2g.tmult_a_slot_ns);
@@ -44,7 +46,8 @@ main()
         sim::Trace trace;
     };
     Row rows[] = {
-        {"Tmult,a/slot", workloads::tmult_microbench(inst)},
+        {"Tmult,a/slot",
+         runtime::lower_to_trace(runtime::tmult_graph(inst), inst)},
         {"HELR", workloads::helr(inst)},
         {"ResNet-20", workloads::resnet20(inst)},
         {"Sorting", workloads::sorting(inst)},

@@ -11,8 +11,9 @@
 #include <cstdio>
 
 #include "baselines/published.h"
+#include "runtime/graph_workloads.h"
+#include "runtime/lowering.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 namespace {
 
@@ -20,7 +21,8 @@ double
 run_tmult(const bts::sim::BtsConfig& hw, const bts::hw::CkksInstance& inst)
 {
     const bts::sim::BtsSimulator s(hw, inst);
-    return s.run(bts::workloads::tmult_microbench(inst)).tmult_a_slot_ns;
+    using namespace bts::runtime;
+    return s.run(lower_to_trace(tmult_graph(inst), inst)).tmult_a_slot_ns;
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 
 #include "baselines/published.h"
 #include "hwparams/explorer.h"
+#include "runtime/graph_workloads.h"
+#include "runtime/lowering.h"
 #include "sim/engine.h"
 #include "sim/timeline.h"
 #include "workloads/workloads.h"
@@ -46,7 +48,9 @@ main(int argc, char** argv)
            tl.bconv_busy_frac * 100);
 
     printf("\n-- workloads on the 512MB-scratchpad BTS --\n");
-    const auto mb = s.run(workloads::tmult_microbench(inst));
+    const sim::Trace tmult =
+        runtime::lower_to_trace(runtime::tmult_graph(inst), inst);
+    const auto mb = s.run(tmult);
     printf("Tmult,a/slot: %.1f ns (bootstrap %.1f ms, ct-cache hit "
            "%.0f%%)\n",
            mb.tmult_a_slot_ns, mb.boot_s * 1e3, mb.cache_hit_rate * 100);
@@ -64,8 +68,7 @@ main(int argc, char** argv)
     for (int mbytes : {256, 384, 512, 1024, 2048}) {
         sim::BtsConfig cfg;
         cfg.scratchpad_bytes = static_cast<double>(mbytes) * (1 << 20);
-        const auto r = sim::BtsSimulator(cfg, inst)
-                           .run(workloads::tmult_microbench(inst));
+        const auto r = sim::BtsSimulator(cfg, inst).run(tmult);
         printf("  %4d MB: %.1f ns (energy %.2f J)\n", mbytes,
                r.tmult_a_slot_ns, r.energy_j);
     }

@@ -8,99 +8,10 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "runtime/lowering.h"
-#include "workloads/workloads.h"
 
 namespace bts::runtime::analysis {
 
 namespace {
-
-/** One expanded primitive: the (kind, level) pair the cost model
- *  prices. Mirrors lower_to_trace's expansion rules EXACTLY — the
- *  op-count pin against the lowered trace depends on it. */
-struct PrimOp
-{
-    sim::HeOpKind kind;
-    int level;
-};
-
-/** The bootstrap composite's primitive plan for one instance,
- *  computed once per analysis by running the hand generator into a
- *  scratch TraceBuilder — the same call lower_to_trace makes, so the
- *  per-(kind, level) profile is shared by construction, not
- *  re-derived. */
-struct BootProfile
-{
-    std::vector<PrimOp> ops;
-};
-
-BootProfile
-bootstrap_profile(const hw::CkksInstance& inst)
-{
-    sim::TraceBuilder b("bootstrap-profile");
-    const int in = b.fresh_id();
-    workloads::append_bootstrap(b, inst, in);
-    BootProfile p;
-    p.ops.reserve(b.trace().ops.size());
-    for (const sim::HeOp& op : b.trace().ops) {
-        p.ops.push_back({op.kind, op.level});
-    }
-    return p;
-}
-
-/** Expand node @p n into the primitive ops lower_to_trace would emit
- *  for it, appending to @p out. */
-void
-expand_node(const Graph& g, const Node& n, const BootProfile* boot,
-            std::vector<PrimOp>& out)
-{
-    switch (n.kind) {
-    case OpKind::kBootstrap:
-        BTS_ASSERT(boot != nullptr, "bootstrap profile not computed");
-        out.insert(out.end(), boot->ops.begin(), boot->ops.end());
-        return;
-    case OpKind::kHRotHoisted:
-        for (const int o : n.outputs) {
-            out.push_back({sim::HeOpKind::kHRot, g.value(o).level});
-        }
-        return;
-    case OpKind::kHMultRescale:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd: {
-        const sim::HeOpKind first =
-            n.kind == OpKind::kHMultRescale ? sim::HeOpKind::kHMult
-            : n.kind == OpKind::kPMultRescale ? sim::HeOpKind::kPMult
-                                              : sim::HeOpKind::kCMult;
-        const sim::HeOpKind second = n.kind == OpKind::kCMultAdd
-                                         ? sim::HeOpKind::kCAdd
-                                         : sim::HeOpKind::kHRescale;
-        const int mid_level = g.value(n.output).level +
-                              (n.kind == OpKind::kCMultAdd ? 0 : 1);
-        out.push_back({first, mid_level});
-        out.push_back({second, mid_level});
-        return;
-    }
-    case OpKind::kHRescale:
-        // Executes at the input level: it still holds the
-        // about-to-drop prime.
-        out.push_back(
-            {sim::HeOpKind::kHRescale, g.value(n.inputs[0]).level});
-        return;
-    case OpKind::kHMult:
-    case OpKind::kHRot:
-    case OpKind::kConj:
-    case OpKind::kPMult:
-    case OpKind::kPAdd:
-    case OpKind::kHAdd:
-    case OpKind::kHSub:
-    case OpKind::kCMult:
-    case OpKind::kCAdd:
-    case OpKind::kModRaise:
-        out.push_back({to_sim_kind(n.kind), g.value(n.output).level});
-        return;
-    }
-    panic("unknown OpKind");
-}
 
 /**
  * Serial-schedule liveness walk, mirroring Executor::run_serial op for
@@ -161,24 +72,15 @@ liveness_walk(const Graph& g, const std::function<double(int)>& bytes_of,
     }
 }
 
-/** Count evk-bearing primitive ops of one node (grouped rotations
- *  count one per amount; bootstrap counts its expanded plan). */
+/** Evk-bearing ops of one node without lowering it: grouped rotations
+ *  count one per amount, and a bootstrap — whose plan depends on the
+ *  instance — counts once. */
 std::size_t
-node_evk_ops(const Node& n, std::size_t bootstrap_evk_ops)
+node_key_switches(const Node& n)
 {
-    switch (n.kind) {
-    case OpKind::kHMult:
-    case OpKind::kHMultRescale:
-    case OpKind::kHRot:
-    case OpKind::kConj:
-        return 1;
-    case OpKind::kHRotHoisted:
-        return n.outputs.size();
-    case OpKind::kBootstrap:
-        return bootstrap_evk_ops;
-    default:
-        return 0;
-    }
+    const EvkNeed evk = op_info(n.kind).evk;
+    if (evk == EvkNeed::kPerAmount) return n.amounts.size();
+    return evk == EvkNeed::kNone ? 0 : 1;
 }
 
 /**
@@ -264,11 +166,7 @@ analyze_liveness(const Graph& g)
 {
     LivenessStats s;
     s.nodes = g.num_nodes();
-    for (const Node& n : g.nodes()) {
-        // Instance-free: a bootstrap's internal plan depends on the
-        // instance, so count the composite node as one evk op here.
-        s.evk_ops += node_evk_ops(n, 1);
-    }
+    for (const Node& n : g.nodes()) s.evk_ops += node_key_switches(n);
     double peak_limbs = 0;
     liveness_walk(
         g, [](int level) { return 2.0 * (level + 1); },
@@ -281,64 +179,26 @@ ResourceSummary
 analyze_resources(const Graph& g, const hw::CkksInstance& inst,
                   const sim::BtsConfig& hw)
 {
-    // Level-geometry compatibility — the same preconditions
-    // lower_to_trace enforces: a cost estimate against the wrong
-    // instance is worse than no estimate.
-    for (std::size_t id = 0; id < g.num_values(); ++id) {
-        const ValueInfo& info = g.value(static_cast<int>(id));
-        BTS_CHECK(info.level <= inst.max_level,
-                  g.name() << ": value level " << info.level
-                           << " exceeds instance max_level "
-                           << inst.max_level);
-    }
-    if (g.uses_bootstrap() || g.count_kind(OpKind::kModRaise) > 0) {
-        BTS_CHECK(g.traits().max_level == inst.max_level,
-                  g.name() << ": graph raises to level "
-                           << g.traits().max_level << ", instance has L = "
-                           << inst.max_level);
-    }
-    if (g.uses_bootstrap()) {
-        BTS_CHECK(g.traits().bootstrap_out_level == inst.usable_levels(),
-                  g.name() << ": graph bootstrap level "
-                           << g.traits().bootstrap_out_level
-                           << " != instance usable levels "
-                           << inst.usable_levels());
-    }
+    check_lowerable(g, inst);
 
     ResourceSummary s;
     s.nodes.resize(g.num_nodes());
-
-    BootProfile boot;
-    std::size_t boot_evk_ops = 0;
-    if (g.uses_bootstrap()) {
-        boot = bootstrap_profile(inst);
-        for (const PrimOp& op : boot.ops) {
-            if (sim::needs_evk(op.kind)) ++boot_evk_ops;
-        }
-    }
-
     const sim::CostModel model(hw, inst);
-    std::vector<PrimOp> prims;
+    sim::TraceBuilder b(g.name());
+    std::vector<int> object(g.num_values(), -1);
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
-        prims.clear();
-        expand_node(g, n, g.uses_bootstrap() ? &boot : nullptr, prims);
-        if (n.kind == OpKind::kBootstrap) ++s.bootstrap_count;
-
         NodeResource& nr = s.nodes[i];
         double node_evk_resident = 0;
-        for (const PrimOp& p : prims) {
-            sim::HeOp op;
-            op.kind = p.kind;
-            op.level = p.level;
+        for (const sim::HeOp& op : lower_node(g, i, inst, b, object)) {
             const sim::OpCost c = model.op_cost(op);
-            s.op_counts[static_cast<std::size_t>(p.kind)] += 1;
+            s.op_counts[static_cast<std::size_t>(op.kind)] += 1;
             nr.cost_s += c.compute_s;
             nr.evk_bytes += c.evk_bytes;
             s.ntt_s += c.ntt_s;
             s.bconv_s += c.bconv_s;
             s.elem_s += c.elem_s;
-            if (sim::needs_evk(p.kind)) {
+            if (sim::needs_evk(op.kind)) {
                 ++s.evk_ops;
                 s.keyswitch_work_s += c.compute_s;
                 // Within one node the Executor holds every key the
@@ -353,11 +213,13 @@ analyze_resources(const Graph& g, const hw::CkksInstance& inst,
                 }
             }
         }
+        b.trace().ops.clear(); // priced; only the object ids carry over
         s.total_work_s += nr.cost_s;
         s.evk_bytes += nr.evk_bytes;
         s.evk_working_set_bytes =
             std::max(s.evk_working_set_bytes, node_evk_resident);
     }
+    s.bootstrap_count = b.trace().bootstrap_count;
     for (const std::size_t c : s.op_counts) s.total_ops += c;
 
     // Liveness: ciphertext bytes(level) = 2 (level+1) N 8 — the two

@@ -5,11 +5,11 @@
  * graph safe to run", analyze_resources() asks "what will it cost" —
  * per graph x Table-4 instance, before anything executes:
  *
- *  (a) exact op counts: every node is expanded by the same rules
- *      lower_to_trace applies (composites to primitives, kBootstrap to
- *      the full ModRaise/CtS/EvalMod/StC plan), so the per-HeOpKind
- *      counts match the lowered sim::Trace histogram EXACTLY — the
- *      zero-tolerance pin in tests/runtime/test_resource.cpp;
+ *  (a) exact op counts: every node is expanded by lower_node, the
+ *      expansion lower_to_trace itself runs (composites to primitives,
+ *      kBootstrap to the full ModRaise/CtS/EvalMod/StC plan), so the
+ *      per-HeOpKind counts are the lowered sim::Trace histogram — pinned
+ *      at zero tolerance in tests/runtime/test_resource.cpp;
  *  (b) cost totals: each expanded primitive is priced by sim::CostModel
  *      at its execution level (calibration by construction: the
  *      analyzer reuses the very cost table the simulator schedules
@@ -120,11 +120,9 @@ LivenessStats analyze_liveness(const Graph& g);
 
 /**
  * Run the full resource analysis of @p g on @p inst under @p hw.
- * Mirrors lower_to_trace's level-geometry preconditions (value levels
- * within the instance chain; ModRaise/Bootstrap graphs match the
- * instance's L and usable levels) and throws BTS_CHECK-style on
- * violation — an estimate against the wrong instance is worse than no
- * estimate.
+ * Throws like lower_to_trace (check_lowerable) when the graph's level
+ * geometry does not fit the instance — an estimate against the wrong
+ * instance is worse than no estimate.
  */
 ResourceSummary analyze_resources(const Graph& g,
                                   const hw::CkksInstance& inst,

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
+
+#include "common/check.h"
 
 namespace bts::runtime::analysis {
 
@@ -23,30 +26,6 @@ bool
 scales_compatible(double a, double b)
 {
     return a > 0.0 && b > 0.0 && std::abs(a / b - 1.0) < 1e-3;
-}
-
-bool
-is_binary(OpKind k)
-{
-    switch (k) {
-    case OpKind::kHMult:
-    case OpKind::kHAdd:
-    case OpKind::kHSub:
-    case OpKind::kPMult:
-    case OpKind::kPAdd:
-    case OpKind::kHMultRescale:
-    case OpKind::kPMultRescale:
-        return true;
-    default: return false;
-    }
-}
-
-/** Does operand slot @p slot of kind @p k take a plaintext? */
-bool
-slot_is_plain(OpKind k, std::size_t slot)
-{
-    return slot == 1 && (k == OpKind::kPMult || k == OpKind::kPAdd ||
-                         k == OpKind::kPMultRescale);
 }
 
 class Verifier
@@ -97,6 +76,16 @@ class Verifier
     value_ok(int id) const
     {
         return id >= 0 && id < static_cast<int>(g_.num_values());
+    }
+
+    /** Stored metadata of @p n's operands; valid until the next call
+     *  (one buffer serves every node). */
+    std::span<const ValueInfo>
+    operands_of(const Node& n)
+    {
+        operands_.clear();
+        for (const int id : n.inputs) operands_.push_back(g_.value(id));
+        return operands_;
     }
 
     // ---------------------------------------------------------------
@@ -175,18 +164,19 @@ class Verifier
     void
     check_node_arity(int i, const Node& n)
     {
-        const std::size_t want = is_binary(n.kind) ? 2 : 1;
+        const OpInfo& info = op_info(n.kind);
+        const std::size_t want = static_cast<std::size_t>(info.arity);
         if (n.inputs.size() != want) {
             emit("structure-arity", Severity::kError, i, -1,
                  std::string(op_name(n.kind)) + " has " +
                      std::to_string(n.inputs.size()) +
                      " operand(s), expected " + std::to_string(want));
         }
-        if (n.kind == OpKind::kHRot && n.rot_amount == 0) {
+        if (info.evk == EvkNeed::kRotation && n.rot_amount == 0) {
             emit("structure-arity", Severity::kError, i, -1,
                  "rotation amount is zero");
         }
-        if (n.kind == OpKind::kHRotHoisted) {
+        if (info.evk == EvkNeed::kPerAmount) {
             if (n.amounts.empty()) {
                 emit("structure-arity", Severity::kError, i, -1,
                      "hoisted rotation group has no amounts");
@@ -203,6 +193,7 @@ class Verifier
     void
     check_node_operands(int i, const Node& n)
     {
+        const int plain_slot = op_info(n.kind).plain_slot;
         for (std::size_t s = 0; s < n.inputs.size(); ++s) {
             const int in = n.inputs[s];
             if (!value_ok(in)) {
@@ -217,13 +208,13 @@ class Verifier
                          std::to_string(info.producer) +
                          ", at or after its use");
             }
-            if (info.is_plain != slot_is_plain(n.kind, s)) {
+            const bool want_plain = static_cast<int>(s) == plain_slot;
+            if (info.is_plain != want_plain) {
                 emit("structure-arity", Severity::kError, i, in,
                      std::string("operand ") + std::to_string(s) +
                          " is " + (info.is_plain ? "plain" : "cipher") +
                          ", " + op_name(n.kind) + " expects " +
-                         (slot_is_plain(n.kind, s) ? "plain"
-                                                   : "cipher"));
+                         (want_plain ? "plain" : "cipher"));
             }
         }
     }
@@ -241,7 +232,8 @@ class Verifier
                  "node.output disagrees with node.outputs[0]");
         }
         const std::size_t want =
-            n.kind == OpKind::kHRotHoisted ? n.amounts.size() : 1;
+            op_info(n.kind).evk == EvkNeed::kPerAmount ? n.amounts.size()
+                                                       : 1;
         if (n.outputs.size() != want) {
             emit("structure-producer", Severity::kError, i, -1,
                  "node defines " + std::to_string(n.outputs.size()) +
@@ -324,117 +316,13 @@ class Verifier
     void
     check_node_metadata(int i, const Node& n)
     {
-        const GraphTraits& t = g_.traits();
-        const auto in = [&](std::size_t s) -> const ValueInfo& {
-            return g_.value(n.inputs[s]);
-        };
-        int level = 0;
-        double scale = 1.0;
-        switch (n.kind) {
-        case OpKind::kHMult:
-            level = std::min(in(0).level, in(1).level);
-            scale = in(0).scale * in(1).scale;
-            break;
-        case OpKind::kHAdd:
-        case OpKind::kHSub:
-            level = std::min(in(0).level, in(1).level);
-            scale = in(0).scale;
-            if (!scales_compatible(in(0).scale, in(1).scale)) {
-                emit("scale-mismatch", Severity::kError, i, n.inputs[1],
-                     "add/sub operands at scales " +
-                         std::to_string(in(0).scale) + " vs " +
-                         std::to_string(in(1).scale),
-                     "rescale the larger operand first");
-            }
-            break;
-        case OpKind::kPMult:
-            level = in(0).level;
-            scale = in(0).scale * in(1).scale;
-            check_plain_covers(i, n);
-            break;
-        case OpKind::kPAdd:
-            level = in(0).level;
-            scale = in(0).scale;
-            check_plain_covers(i, n);
-            if (!scales_compatible(in(0).scale, in(1).scale)) {
-                emit("scale-mismatch", Severity::kError, i, n.inputs[1],
-                     "plaintext addend scale " +
-                         std::to_string(in(1).scale) +
-                         " != ciphertext scale " +
-                         std::to_string(in(0).scale),
-                     "encode the plaintext at the ciphertext's scale");
-            }
-            break;
-        case OpKind::kHRot:
-        case OpKind::kConj:
-        case OpKind::kHRotHoisted:
-            level = in(0).level;
-            scale = in(0).scale;
-            break;
-        case OpKind::kHRescale:
-            if (in(0).level < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "rescale of a level-0 operand",
-                     "bootstrap before this point");
-                return;
-            }
-            level = in(0).level - 1;
-            scale = in(0).scale / t.delta;
-            break;
-        case OpKind::kCMult:
-            level = in(0).level;
-            scale = in(0).scale * t.delta;
-            break;
-        case OpKind::kCAdd:
-            level = in(0).level;
-            scale = in(0).scale;
-            break;
-        case OpKind::kModRaise:
-            if (in(0).level != 0) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "ModRaise of a non-exhausted (level " +
-                         std::to_string(in(0).level) + ") value");
-            }
-            level = t.max_level;
-            scale = in(0).scale;
-            break;
-        case OpKind::kBootstrap:
-            level = t.bootstrap_out_level;
-            scale = t.delta;
-            break;
-        case OpKind::kHMultRescale:
-            if (std::min(in(0).level, in(1).level) < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "fused mult+rescale at level 0");
-                return;
-            }
-            level = std::min(in(0).level, in(1).level) - 1;
-            scale = in(0).scale * in(1).scale / t.delta;
-            break;
-        case OpKind::kPMultRescale:
-            check_plain_covers(i, n);
-            if (in(0).level < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "fused mult+rescale at level 0");
-                return;
-            }
-            level = in(0).level - 1;
-            scale = in(0).scale * in(1).scale / t.delta;
-            break;
-        case OpKind::kCMultRescale:
-            if (in(0).level < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "fused mult+rescale at level 0");
-                return;
-            }
-            level = in(0).level - 1;
-            scale = in(0).scale;
-            break;
-        case OpKind::kCMultAdd:
-            level = in(0).level;
-            scale = in(0).scale * t.delta;
-            break;
-        }
+        const std::optional<ValueInfo> derived = fold_steps(
+            n.kind, operands_of(n), g_.traits(),
+            [&](OpKind step, std::span<const ValueInfo> ops,
+                const ValueInfo&) { return check_step(i, n, step, ops); });
+        if (!derived) return;
+        const int level = derived->level;
+        const double scale = derived->scale;
         for (const int out : n.outputs) {
             const ValueInfo& stored = g_.value(out);
             result_.values[out].level = level;
@@ -456,19 +344,55 @@ class Verifier
         }
     }
 
-    void
-    check_plain_covers(int i, const Node& n)
+    /** Report the violated preconditions of primitive @p step of node
+     *  @p i (operands @p in); false stops the re-derivation. */
+    bool
+    check_step(int i, const Node& n, OpKind step,
+               std::span<const ValueInfo> in)
     {
-        const ValueInfo& ct = g_.value(n.inputs[0]);
-        const ValueInfo& pt = g_.value(n.inputs[1]);
-        if (pt.level < ct.level) {
+        const OpInfo& info = op_info(step);
+        if ((info.checks & kCheckPlainCovers) && in[1].level < in[0].level) {
             emit("meta-level", Severity::kError, i, n.inputs[1],
-                 "plaintext level " + std::to_string(pt.level) +
+                 "plaintext level " + std::to_string(in[1].level) +
                      " below the ciphertext's " +
-                     std::to_string(ct.level),
+                     std::to_string(in[0].level),
                  "encode the plaintext at (or above) the ciphertext "
                  "level");
         }
+        if ((info.checks & kCheckScalesAgree) &&
+            !scales_compatible(in[0].scale, in[1].scale)) {
+            if (info.plain_slot == 1) {
+                emit("scale-mismatch", Severity::kError, i, n.inputs[1],
+                     "plaintext addend scale " +
+                         std::to_string(in[1].scale) +
+                         " != ciphertext scale " +
+                         std::to_string(in[0].scale),
+                     "encode the plaintext at the ciphertext's scale");
+            } else {
+                emit("scale-mismatch", Severity::kError, i, n.inputs[1],
+                     "add/sub operands at scales " +
+                         std::to_string(in[0].scale) + " vs " +
+                         std::to_string(in[1].scale),
+                     "rescale the larger operand first");
+            }
+        }
+        if ((info.checks & kCheckHasLevel) && in[0].level < 1) {
+            if (op_is_composite(n.kind)) {
+                emit("meta-level", Severity::kError, i, n.inputs[0],
+                     "fused mult+rescale at level 0");
+            } else {
+                emit("meta-level", Severity::kError, i, n.inputs[0],
+                     "rescale of a level-0 operand",
+                     "bootstrap before this point");
+            }
+            return false;
+        }
+        if ((info.checks & kCheckExhausted) && in[0].level != 0) {
+            emit("meta-level", Severity::kError, i, n.inputs[0],
+                 "ModRaise of a non-exhausted (level " +
+                     std::to_string(in[0].level) + ") value");
+        }
+        return true;
     }
 
     // ---------------------------------------------------------------
@@ -501,6 +425,7 @@ class Verifier
         const NoiseModel& m = opts_.noise_model;
         const double S = scale_bits_;
         std::vector<double> noise(g_.num_values(), 0.0);
+        std::vector<double> nb; // one node's operand noise
 
         for (const int id : g_.input_ids()) {
             if (!g_.value(id).is_plain) noise[id] = m.fresh * S;
@@ -508,59 +433,15 @@ class Verifier
         }
         for (std::size_t i = 0; i < g_.num_nodes(); ++i) {
             const Node& n = g_.node(i);
-            const auto nb = [&](std::size_t s) {
-                return noise[n.inputs[s]];
-            };
-            const auto sbits = [&](std::size_t s) {
-                return std::log2(g_.value(n.inputs[s]).scale);
-            };
-            double out = 0.0;
-            switch (n.kind) {
-            case OpKind::kHAdd:
-            case OpKind::kHSub:
-                out = log_sum(nb(0), nb(1));
-                break;
-            case OpKind::kPAdd: // the plaintext operand is noiseless
-            case OpKind::kCAdd:
-                out = nb(0);
-                break;
-            case OpKind::kHMult:
-                out = log_sum(std::max(nb(0) + sbits(1),
-                                       nb(1) + sbits(0)),
-                              m.key_switch * S);
-                break;
-            case OpKind::kPMult:
-                out = nb(0) + sbits(1);
-                break;
-            case OpKind::kCMult:
-            case OpKind::kCMultAdd:
-                out = nb(0) + S; // constants are encoded at delta
-                break;
-            case OpKind::kHRot:
-            case OpKind::kConj:
-            case OpKind::kHRotHoisted:
-                out = log_sum(nb(0), m.key_switch * S);
-                break;
-            case OpKind::kHRescale:
-                out = std::max(nb(0) - S, m.rescale_floor * S);
-                break;
-            case OpKind::kModRaise: out = nb(0); break;
-            case OpKind::kBootstrap: out = m.bootstrap_out * S; break;
-            case OpKind::kHMultRescale:
-                out = std::max(log_sum(std::max(nb(0) + sbits(1),
-                                                nb(1) + sbits(0)),
-                                       m.key_switch * S) -
-                                   S,
-                               m.rescale_floor * S);
-                break;
-            case OpKind::kPMultRescale:
-                out = std::max(nb(0) + sbits(1) - S,
-                               m.rescale_floor * S);
-                break;
-            case OpKind::kCMultRescale:
-                out = std::max(nb(0), m.rescale_floor * S);
-                break;
-            }
+            nb.clear();
+            for (const int id : n.inputs) nb.push_back(noise[id]);
+            fold_steps(n.kind, operands_of(n), g_.traits(),
+                       [&](OpKind step, std::span<const ValueInfo> ops,
+                           const ValueInfo&) {
+                           nb.assign(1, step_noise(step, nb, ops));
+                           return true;
+                       });
+            const double out = nb[0];
             for (const int o : n.outputs) {
                 noise[o] = out;
                 note_value(o, out);
@@ -574,6 +455,38 @@ class Verifier
         // whose scale cannot fit its level is unbindable).
         for (const int id : g_.input_ids()) {
             if (!g_.value(id).is_plain) check_budgets(-1, id, noise[id]);
+        }
+    }
+
+    /** Noise bits of primitive @p step's result from its operands'
+     *  noise @p nb and metadata @p in; a composite is the fold of its
+     *  parts' rules. */
+    double
+    step_noise(OpKind step, const std::vector<double>& nb,
+               std::span<const ValueInfo> in) const
+    {
+        const NoiseModel& m = opts_.noise_model;
+        const double S = scale_bits_;
+        const auto sbits = [&](std::size_t s) {
+            return std::log2(in[s].scale);
+        };
+        switch (step) {
+        case OpKind::kHAdd:
+        case OpKind::kHSub: return log_sum(nb[0], nb[1]);
+        case OpKind::kPAdd: // the plaintext operand is noiseless
+        case OpKind::kCAdd:
+        case OpKind::kModRaise: return nb[0];
+        case OpKind::kHMult:
+            return log_sum(std::max(nb[0] + sbits(1), nb[1] + sbits(0)),
+                           m.key_switch * S);
+        case OpKind::kPMult: return nb[0] + sbits(1);
+        case OpKind::kCMult: return nb[0] + S; // constants encode at delta
+        case OpKind::kHRot:
+        case OpKind::kConj: return log_sum(nb[0], m.key_switch * S);
+        case OpKind::kHRescale:
+            return std::max(nb[0] - S, m.rescale_floor * S);
+        case OpKind::kBootstrap: return m.bootstrap_out * S;
+        default: panic(std::string(op_name(step)) + " is not a primitive");
         }
     }
 
@@ -665,7 +578,7 @@ class Verifier
             const Node& n = g_.node(i);
             if (!n.lazy) continue;
             const int node = static_cast<int>(i);
-            if (n.kind != OpKind::kHAdd && n.kind != OpKind::kHSub) {
+            if (!op_info(n.kind).may_be_lazy) {
                 emit("lazy-contract", Severity::kError, node, n.output,
                      "lazy mark on a non-add/sub node");
                 continue;
@@ -704,34 +617,26 @@ class Verifier
         for (std::size_t i = 0; i < g_.num_nodes(); ++i) {
             const Node& n = g_.node(i);
             const int node = static_cast<int>(i);
-            switch (n.kind) {
-            case OpKind::kHMult:
-            case OpKind::kHMultRescale:
+            const auto need_rotation = [&](int r) {
+                if (keys.rotations.count(r)) return;
+                missing_rots.insert(r);
+                if (first_missing_rot < 0) first_missing_rot = node;
+            };
+            switch (op_info(n.kind).evk) {
+            case EvkNeed::kNone: break;
+            case EvkNeed::kMult:
                 if (first_mult < 0) first_mult = node;
                 break;
-            case OpKind::kConj:
+            case EvkNeed::kConj:
                 if (first_conj < 0) first_conj = node;
                 break;
-            case OpKind::kBootstrap:
+            case EvkNeed::kBootstrapper:
                 if (first_boot < 0) first_boot = node;
                 break;
-            case OpKind::kHRot:
-                if (!keys.rotations.count(n.rot_amount)) {
-                    missing_rots.insert(n.rot_amount);
-                    if (first_missing_rot < 0) first_missing_rot = node;
-                }
+            case EvkNeed::kRotation: need_rotation(n.rot_amount); break;
+            case EvkNeed::kPerAmount:
+                for (const int r : n.amounts) need_rotation(r);
                 break;
-            case OpKind::kHRotHoisted:
-                for (const int r : n.amounts) {
-                    if (!keys.rotations.count(r)) {
-                        missing_rots.insert(r);
-                        if (first_missing_rot < 0) {
-                            first_missing_rot = node;
-                        }
-                    }
-                }
-                break;
-            default: break;
             }
         }
         if (first_mult >= 0 && !keys.mult) {
@@ -819,6 +724,7 @@ class Verifier
     const AnalysisOptions& opts_;
     const double scale_bits_;
     Analysis result_;
+    std::vector<ValueInfo> operands_;
 };
 
 } // namespace

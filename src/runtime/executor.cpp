@@ -152,58 +152,37 @@ Executor::plan_for(const Graph& g) const
     auto plan = std::make_unique<Plan>();
     plan->evk.assign(g.num_nodes(), nullptr);
     plan->hoisted.assign(g.num_nodes(), {});
+    const auto rot_key = [&](int r) {
+        BTS_CHECK(res_.rot_keys != nullptr,
+                  g.name() << ": graph needs rotation keys");
+        const auto key = res_.rot_keys->find(r);
+        BTS_CHECK(key != res_.rot_keys->end(),
+                  g.name() << ": missing rotation key " << r);
+        return &key->second;
+    };
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
-        switch (n.kind) {
-        case OpKind::kHMult:
-        case OpKind::kHMultRescale:
+        switch (op_info(n.kind).evk) {
+        case EvkNeed::kNone: break;
+        case EvkNeed::kMult:
             BTS_CHECK(res_.mult_key != nullptr && !res_.mult_key->empty(),
                       g.name() << ": graph needs a mult key");
             plan->evk[i] = res_.mult_key;
             break;
-        case OpKind::kHRot: {
-            BTS_CHECK(res_.rot_keys != nullptr,
-                      g.name() << ": graph needs rotation keys");
-            const auto key = res_.rot_keys->find(n.rot_amount);
-            BTS_CHECK(key != res_.rot_keys->end(),
-                      g.name() << ": missing rotation key "
-                               << n.rot_amount);
-            plan->evk[i] = &key->second;
-            break;
-        }
-        case OpKind::kHRotHoisted: {
-            BTS_CHECK(res_.rot_keys != nullptr,
-                      g.name() << ": graph needs rotation keys");
-            std::vector<const EvalKey*>& keys = plan->hoisted[i];
-            keys.reserve(n.amounts.size());
+        case EvkNeed::kRotation: plan->evk[i] = rot_key(n.rot_amount); break;
+        case EvkNeed::kPerAmount:
             for (const int r : n.amounts) {
-                const auto key = res_.rot_keys->find(r);
-                BTS_CHECK(key != res_.rot_keys->end(),
-                          g.name() << ": missing rotation key " << r);
-                keys.push_back(&key->second);
+                plan->hoisted[i].push_back(rot_key(r));
             }
             break;
-        }
-        case OpKind::kConj:
+        case EvkNeed::kConj:
             BTS_CHECK(res_.conj_key != nullptr && !res_.conj_key->empty(),
                       g.name() << ": graph needs a conjugation key");
             plan->evk[i] = res_.conj_key;
             break;
-        case OpKind::kBootstrap:
+        case EvkNeed::kBootstrapper:
             BTS_CHECK(res_.bootstrapper != nullptr,
                       g.name() << ": graph needs a bootstrapper");
-            break;
-        case OpKind::kPMult:
-        case OpKind::kPMultRescale:
-        case OpKind::kPAdd:
-        case OpKind::kHAdd:
-        case OpKind::kHSub:
-        case OpKind::kHRescale:
-        case OpKind::kCMult:
-        case OpKind::kCMultRescale:
-        case OpKind::kCMultAdd:
-        case OpKind::kCAdd:
-        case OpKind::kModRaise:
             break;
         }
     }

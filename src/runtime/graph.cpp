@@ -10,112 +10,200 @@
 
 namespace bts::runtime {
 
+namespace {
+
+constexpr std::size_t
+row(OpKind kind)
+{
+    return static_cast<std::size_t>(kind);
+}
+
+/** The primitives, in OpKind order. */
+constexpr OpInfo kPrimitives[] = {
+    {.kind = OpKind::kHMult, .name = "HMult", .label = "hmult",
+     .arity = 2, .evk = EvkNeed::kMult, .scale_in = ScaleIn::kReduced,
+     .tolerates_lazy = true, .sim = sim::HeOpKind::kHMult},
+    {.kind = OpKind::kHRot, .name = "HRot", .label = "hrot",
+     .evk = EvkNeed::kRotation, .tolerates_lazy = true,
+     .sim = sim::HeOpKind::kHRot},
+    {.kind = OpKind::kConj, .name = "Conj", .label = "conj",
+     .evk = EvkNeed::kConj, .tolerates_lazy = true,
+     .sim = sim::HeOpKind::kConj},
+    {.kind = OpKind::kPMult, .name = "PMult", .label = "pmult",
+     .arity = 2, .plain_slot = 1, .scale_in = ScaleIn::kReduced,
+     .checks = kCheckPlainCovers, .tolerates_lazy = true,
+     .sim = sim::HeOpKind::kPMult},
+    // PAdd/HAdd/HSub: add_mod debug-asserts canonical inputs.
+    {.kind = OpKind::kPAdd, .name = "PAdd", .label = "padd", .arity = 2,
+     .plain_slot = 1, .scale_in = ScaleIn::kReduced,
+     .checks = kCheckPlainCovers | kCheckScalesAgree,
+     .sim = sim::HeOpKind::kPAdd},
+    {.kind = OpKind::kHAdd, .name = "HAdd", .label = "hadd", .arity = 2,
+     .scale_in = ScaleIn::kAgreeing, .checks = kCheckScalesAgree,
+     .may_be_lazy = true, .sim = sim::HeOpKind::kHAdd},
+    {.kind = OpKind::kHSub, .name = "HSub", .label = "hsub", .arity = 2,
+     .scale_in = ScaleIn::kAgreeing, .checks = kCheckScalesAgree,
+     .may_be_lazy = true, .sim = sim::HeOpKind::kHAdd}, // add-cost twin
+    // The centered lift reads canonical residues.
+    {.kind = OpKind::kHRescale, .name = "HRescale", .label = "hrescale",
+     .checks = kCheckHasLevel, .sim = sim::HeOpKind::kHRescale},
+    {.kind = OpKind::kCMult, .name = "CMult", .label = "cmult",
+     .constants = 1, .scale_in = ScaleIn::kReduced,
+     .tolerates_lazy = true, .sim = sim::HeOpKind::kCMult},
+    // add_const_inplace adds on raw residues.
+    {.kind = OpKind::kCAdd, .name = "CAdd", .label = "cadd",
+     .constants = 1, .scale_in = ScaleIn::kReduced,
+     .sim = sim::HeOpKind::kCAdd},
+    {.kind = OpKind::kModRaise, .name = "ModRaise", .label = "mod_raise",
+     .checks = kCheckExhausted, .tolerates_lazy = true,
+     .sim = sim::HeOpKind::kModRaise},
+    // Streams many evks through its expansion.
+    {.kind = OpKind::kBootstrap, .name = "Bootstrap",
+     .label = "bootstrap", .evk = EvkNeed::kBootstrapper,
+     .scale_in = ScaleIn::kReduced},
+};
+
+/** A composite row: operand signature, scale contract and lazy-input
+ *  tolerance come from the first part (it reads the operands), the
+ *  lazy-output column from the last, the constants and key need from
+ *  all of them. */
+constexpr OpInfo
+composite(OpKind kind, const char* name, const char* label,
+          std::array<OpKind, 2> parts, int num_parts)
+{
+    OpInfo r = kPrimitives[row(parts[0])];
+    r.kind = kind;
+    r.name = name;
+    r.label = label;
+    r.constants = 0;
+    r.evk = EvkNeed::kNone;
+    for (int p = 0; p < num_parts; ++p) {
+        const OpInfo& part = kPrimitives[row(parts[p])];
+        r.constants += part.constants;
+        if (r.evk == EvkNeed::kNone) r.evk = part.evk;
+    }
+    r.checks = 0;
+    r.may_be_lazy = kPrimitives[row(parts[num_parts - 1])].may_be_lazy;
+    r.sim.reset();
+    r.part_kinds = parts;
+    r.num_parts = num_parts;
+    return r;
+}
+
+constexpr std::array<OpInfo, kNumOpKinds> kOpTable = [] {
+    std::array<OpInfo, kNumOpKinds> t{};
+    for (const OpInfo& p : kPrimitives) t[row(p.kind)] = p;
+    t[row(OpKind::kHRotHoisted)] =
+        composite(OpKind::kHRotHoisted, "HRotHoisted", "hrot_hoisted",
+                  {OpKind::kHRot}, 1);
+    t[row(OpKind::kHRotHoisted)].evk = EvkNeed::kPerAmount;
+    t[row(OpKind::kHMultRescale)] =
+        composite(OpKind::kHMultRescale, "HMultRescale", "hmult_rescale",
+                  {OpKind::kHMult, OpKind::kHRescale}, 2);
+    t[row(OpKind::kPMultRescale)] =
+        composite(OpKind::kPMultRescale, "PMultRescale", "pmult_rescale",
+                  {OpKind::kPMult, OpKind::kHRescale}, 2);
+    t[row(OpKind::kCMultRescale)] =
+        composite(OpKind::kCMultRescale, "CMultRescale", "cmult_rescale",
+                  {OpKind::kCMult, OpKind::kHRescale}, 2);
+    t[row(OpKind::kCMultAdd)] =
+        composite(OpKind::kCMultAdd, "CMultAdd", "cmult_add",
+                  {OpKind::kCMult, OpKind::kCAdd}, 2);
+    return t;
+}();
+
+static_assert(kOpTable.size() == static_cast<std::size_t>(kNumOpKinds));
+static_assert(
+    [] {
+        for (std::size_t k = 0; k < kOpTable.size(); ++k) {
+            if (row(kOpTable[k].kind) != k) return false;
+            if (kOpTable[k].arity > kMaxArity) return false;
+        }
+        return true;
+    }(),
+    "every OpKind needs exactly one op-table row, in enum order, of at "
+    "most kMaxArity operands");
+
+} // namespace
+
+const OpInfo&
+op_info(OpKind kind)
+{
+    const std::size_t k = row(kind);
+    if (k >= kOpTable.size()) panic("unknown OpKind");
+    return kOpTable[k];
+}
+
 const char*
 op_name(OpKind kind)
 {
-    // Exhaustive switch, no default: adding an OpKind without updating
-    // this (and kNumOpKinds) is a -Wswitch error under -Werror.
-    switch (kind) {
-    case OpKind::kHMult: return "HMult";
-    case OpKind::kHRot: return "HRot";
-    case OpKind::kConj: return "Conj";
-    case OpKind::kPMult: return "PMult";
-    case OpKind::kPAdd: return "PAdd";
-    case OpKind::kHAdd: return "HAdd";
-    case OpKind::kHSub: return "HSub";
-    case OpKind::kHRescale: return "HRescale";
-    case OpKind::kCMult: return "CMult";
-    case OpKind::kCAdd: return "CAdd";
-    case OpKind::kModRaise: return "ModRaise";
-    case OpKind::kBootstrap: return "Bootstrap";
-    case OpKind::kHRotHoisted: return "HRotHoisted";
-    case OpKind::kHMultRescale: return "HMultRescale";
-    case OpKind::kPMultRescale: return "PMultRescale";
-    case OpKind::kCMultRescale: return "CMultRescale";
-    case OpKind::kCMultAdd: return "CMultAdd";
-    }
-    panic("unknown OpKind");
+    return op_info(kind).name;
 }
 
 bool
 op_needs_evk(OpKind kind)
 {
-    switch (kind) {
-    case OpKind::kHMult:
-    case OpKind::kHRot:
-    case OpKind::kConj:
-    case OpKind::kBootstrap: // streams many evks via its expansion
-    case OpKind::kHRotHoisted:
-    case OpKind::kHMultRescale:
-        return true;
-    case OpKind::kPMult:
-    case OpKind::kPAdd:
-    case OpKind::kHAdd:
-    case OpKind::kHSub:
-    case OpKind::kHRescale:
-    case OpKind::kCMult:
-    case OpKind::kCAdd:
-    case OpKind::kModRaise:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd:
-        return false;
-    }
-    panic("unknown OpKind");
+    return op_info(kind).evk != EvkNeed::kNone;
 }
 
 bool
 op_tolerates_lazy_input(OpKind kind)
 {
-    switch (kind) {
-    case OpKind::kHMult:
-    case OpKind::kHMultRescale:
-    case OpKind::kPMult:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMult:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd:
-    case OpKind::kHRot:
-    case OpKind::kHRotHoisted:
-    case OpKind::kConj:
-    case OpKind::kModRaise:
-        return true;
-    case OpKind::kHAdd: // add_mod debug-asserts canonical inputs
-    case OpKind::kHSub:
-    case OpKind::kPAdd:
-    case OpKind::kCAdd:     // add_const_inplace adds on raw residues
-    case OpKind::kHRescale: // centered lift reads canonical residues
-    case OpKind::kBootstrap:
-        return false;
-    }
-    panic("unknown OpKind");
+    return op_info(kind).tolerates_lazy;
 }
 
 bool
 op_is_composite(OpKind kind)
 {
+    return !op_info(kind).parts().empty();
+}
+
+std::optional<OpKind>
+op_fused(OpKind first, OpKind second)
+{
+    for (const OpInfo& info : kOpTable) {
+        const std::span<const OpKind> parts = info.parts();
+        if (parts.size() == 2 && parts[0] == first && parts[1] == second) {
+            return info.kind;
+        }
+    }
+    return std::nullopt;
+}
+
+ValueInfo
+op_transfer(OpKind kind, std::span<const ValueInfo> in,
+            const GraphTraits& t)
+{
+    ValueInfo out;
+    // Level: the lowest ciphertext operand (a plaintext operand covers
+    // its ciphertext's level, so slot 0 bounds it) unless the op moves
+    // it; scale: the first operand's unless the op changes it.
+    out.level = in.size() == 2 && op_info(kind).plain_slot != 1
+                    ? std::min(in[0].level, in[1].level)
+                    : in[0].level;
+    out.scale = in[0].scale;
     switch (kind) {
-    case OpKind::kHRotHoisted:
-    case OpKind::kHMultRescale:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd:
-        return true;
     case OpKind::kHMult:
+    case OpKind::kPMult: out.scale = in[0].scale * in[1].scale; break;
     case OpKind::kHRot:
     case OpKind::kConj:
-    case OpKind::kPMult:
     case OpKind::kPAdd:
     case OpKind::kHAdd:
     case OpKind::kHSub:
+    case OpKind::kCAdd: break;
     case OpKind::kHRescale:
-    case OpKind::kCMult:
-    case OpKind::kCAdd:
-    case OpKind::kModRaise:
+        out.level = in[0].level - 1;
+        out.scale = in[0].scale / t.delta;
+        break;
+    case OpKind::kCMult: out.scale = in[0].scale * t.delta; break;
+    case OpKind::kModRaise: out.level = t.max_level; break;
     case OpKind::kBootstrap:
-        return false;
+        out.level = t.bootstrap_out_level;
+        out.scale = t.delta; // refresh lands on the canonical scale
+        break;
+    default: panic(std::string(op_name(kind)) + " is not a primitive");
     }
-    panic("unknown OpKind");
+    return out;
 }
 
 namespace {
@@ -231,212 +319,198 @@ Graph::plain_input(int level, double scale)
     } while (0)
 
 const ValueInfo&
-Graph::use_cipher(Value v, const char* op)
+Graph::check_operand(Value v, bool plain, const char* op) const
 {
     BTS_NODE_CHECK(v.valid() && v.id < static_cast<int>(values_.size()),
                    "structure-operand", op,
                    "operand is not a value of this graph");
-    ValueInfo& info = values_[v.id];
-    BTS_NODE_CHECK(!info.is_plain, "structure-arity", op,
+    const ValueInfo& info = values_[v.id];
+    BTS_NODE_CHECK(!info.is_plain || plain, "structure-arity", op,
                    "expected a ciphertext operand, value " << v.id
                                                            << " is plain");
-    info.num_uses += 1;
+    BTS_NODE_CHECK(info.is_plain || !plain, "structure-arity", op,
+                   "expected a plaintext operand, value "
+                       << v.id << " is a ciphertext");
     return info;
 }
 
-const ValueInfo&
-Graph::use_plain(Value v, const char* op)
+void
+Graph::check_step(OpKind step, std::span<const ValueInfo> in,
+                  const char* op) const
 {
-    BTS_NODE_CHECK(v.valid() && v.id < static_cast<int>(values_.size()),
-                   "structure-operand", op,
-                   "operand is not a value of this graph");
-    ValueInfo& info = values_[v.id];
-    BTS_NODE_CHECK(info.is_plain, "structure-arity", op,
-                   "expected a plaintext operand, value "
-                       << v.id << " is a ciphertext");
-    info.num_uses += 1;
-    return info;
+    const unsigned checks = op_info(step).checks;
+    if (checks & kCheckPlainCovers) {
+        BTS_NODE_CHECK(in[1].level >= in[0].level, "meta-level", op,
+                       "plaintext level " << in[1].level
+                                          << " below the ciphertext's "
+                                          << in[0].level);
+    }
+    if (checks & kCheckScalesAgree) {
+        check_scales_close(name_, in[0].scale, in[1].scale, op,
+                           nodes_.size());
+    }
+    // The graph-level image of TraceBuilder's level-underflow guard:
+    // rescaling a level-0 value has no prime left to drop.
+    if (checks & kCheckHasLevel) {
+        BTS_NODE_CHECK(in[0].level >= 1, "level-budget", op,
+                       "operand already at level 0");
+    }
+    if (checks & kCheckExhausted) {
+        BTS_NODE_CHECK(in[0].level == 0, "meta-level", op,
+                       "expects an exhausted (level-0) value, got level "
+                           << in[0].level);
+    }
+}
+
+std::size_t
+Graph::add_node(Node n)
+{
+    const OpInfo& info = op_info(n.kind);
+    BTS_NODE_CHECK(n.inputs.size() == static_cast<std::size_t>(info.arity),
+                   "structure-arity", info.label,
+                   "has " << n.inputs.size() << " operand(s), expected "
+                          << info.arity);
+    // Copies, not references: fresh_value() below grows the value
+    // table, which would invalidate references into it.
+    std::array<ValueInfo, kMaxArity> in;
+    for (std::size_t s = 0; s < n.inputs.size(); ++s) {
+        in[s] = check_operand(Value{n.inputs[s]},
+                              static_cast<int>(s) == info.plain_slot,
+                              info.label);
+    }
+    if (info.evk == EvkNeed::kRotation) {
+        BTS_NODE_CHECK(n.rot_amount != 0, "structure-arity", info.label,
+                       "rotation amount must be nonzero");
+    }
+    if (info.evk == EvkNeed::kPerAmount) {
+        BTS_NODE_CHECK(!n.amounts.empty(), "structure-arity", info.label,
+                       "needs at least one rotation amount");
+        for (const int r : n.amounts) {
+            BTS_NODE_CHECK(r != 0, "structure-arity", info.label,
+                           "rotation amount must be nonzero");
+        }
+    }
+    const ValueInfo meta = *fold_steps(
+        n.kind, std::span<const ValueInfo>(in.data(), n.inputs.size()),
+        traits_,
+        [&](OpKind step, std::span<const ValueInfo> ops, const ValueInfo&) {
+            check_step(step, ops, info.label);
+            return true;
+        });
+    // Every check passed: only now count the uses, so a rejected node
+    // leaves the graph as it was.
+    for (const int id : n.inputs) values_[id].num_uses += 1;
+    uses_conj_ = uses_conj_ || info.evk == EvkNeed::kConj;
+    uses_bootstrap_ = uses_bootstrap_ || info.evk == EvkNeed::kBootstrapper;
+
+    const std::size_t idx = nodes_.size();
+    const std::size_t count =
+        info.evk == EvkNeed::kPerAmount ? n.amounts.size() : 1;
+    n.outputs.clear();
+    for (std::size_t k = 0; k < count; ++k) {
+        ValueInfo out;
+        out.level = meta.level;
+        out.scale = meta.scale;
+        out.producer = static_cast<int>(idx);
+        n.outputs.push_back(fresh_value(out).id);
+    }
+    n.output = n.outputs[0];
+    const bool lazy = n.lazy;
+    n.lazy = false;
+    nodes_.push_back(std::move(n));
+    if (lazy) mark_lazy(idx);
+    return idx;
 }
 
 Value
-Graph::append(Node node, ValueInfo out_info)
+Graph::add_value(Node n)
 {
-    out_info.producer = static_cast<int>(nodes_.size());
-    const Value out = fresh_value(out_info);
-    node.output = out.id;
-    node.outputs = {out.id};
-    nodes_.push_back(std::move(node));
-    return out;
+    return Value{nodes_[add_node(std::move(n))].output};
 }
+
+namespace {
+
+Node
+node_of(OpKind kind, std::initializer_list<Value> operands)
+{
+    Node n;
+    n.kind = kind;
+    for (const Value v : operands) n.inputs.push_back(v.id);
+    return n;
+}
+
+} // namespace
 
 Value
 Graph::hmult(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hmult");
-    const ValueInfo& ib = use_cipher(b, "hmult");
-    Node n;
-    n.kind = OpKind::kHMult;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = std::min(ia.level, ib.level);
-    out.scale = ia.scale * ib.scale;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kHMult, {a, b}));
 }
 
 Value
 Graph::hadd(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hadd");
-    const ValueInfo& ib = use_cipher(b, "hadd");
-    check_scales_close(name_, ia.scale, ib.scale, "hadd", nodes_.size());
-    Node n;
-    n.kind = OpKind::kHAdd;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = std::min(ia.level, ib.level);
-    out.scale = ia.scale;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kHAdd, {a, b}));
 }
 
 Value
 Graph::hsub(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hsub");
-    const ValueInfo& ib = use_cipher(b, "hsub");
-    check_scales_close(name_, ia.scale, ib.scale, "hsub", nodes_.size());
-    Node n;
-    n.kind = OpKind::kHSub;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = std::min(ia.level, ib.level);
-    out.scale = ia.scale;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kHSub, {a, b}));
 }
 
 Value
 Graph::pmult(Value ct, Value pt)
 {
-    const ValueInfo& ic = use_cipher(ct, "pmult");
-    const ValueInfo& ip = use_plain(pt, "pmult");
-    BTS_NODE_CHECK(ip.level >= ic.level, "meta-level", "pmult",
-                   "plaintext level " << ip.level
-                                      << " below the ciphertext's "
-                                      << ic.level);
-    Node n;
-    n.kind = OpKind::kPMult;
-    n.inputs = {ct.id, pt.id};
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale * ip.scale;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kPMult, {ct, pt}));
 }
 
 Value
 Graph::padd(Value ct, Value pt)
 {
-    const ValueInfo& ic = use_cipher(ct, "padd");
-    const ValueInfo& ip = use_plain(pt, "padd");
-    BTS_NODE_CHECK(ip.level >= ic.level, "meta-level", "padd",
-                   "plaintext level below the ciphertext's");
-    check_scales_close(name_, ic.scale, ip.scale, "padd", nodes_.size());
-    Node n;
-    n.kind = OpKind::kPAdd;
-    n.inputs = {ct.id, pt.id};
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kPAdd, {ct, pt}));
 }
 
 Value
 Graph::hrot(Value ct, int amount)
 {
-    const ValueInfo& ic = use_cipher(ct, "hrot");
-    BTS_NODE_CHECK(amount != 0, "structure-arity", "hrot",
-                   "rotation amount must be nonzero");
-    Node n;
-    n.kind = OpKind::kHRot;
-    n.inputs = {ct.id};
+    Node n = node_of(OpKind::kHRot, {ct});
     n.rot_amount = amount;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return add_value(std::move(n));
 }
 
 Value
 Graph::conj(Value ct)
 {
-    const ValueInfo& ic = use_cipher(ct, "conj");
-    uses_conj_ = true;
-    Node n;
-    n.kind = OpKind::kConj;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kConj, {ct}));
 }
 
 Value
 Graph::hrescale(Value ct)
 {
-    const ValueInfo& ic = use_cipher(ct, "hrescale");
-    // The graph-level image of TraceBuilder's level-underflow guard:
-    // rescaling a level-0 value has no prime left to drop.
-    BTS_NODE_CHECK(ic.level >= 1, "level-budget", "hrescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kHRescale;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = ic.level - 1;
-    out.scale = ic.scale / traits_.delta;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kHRescale, {ct}));
 }
 
 Value
 Graph::cmult(Value ct, Complex c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cmult");
-    Node n;
-    n.kind = OpKind::kCMult;
-    n.inputs = {ct.id};
+    Node n = node_of(OpKind::kCMult, {ct});
     n.constant = c;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale * traits_.delta;
-    return append(std::move(n), out);
+    return add_value(std::move(n));
 }
 
 Value
 Graph::cadd(Value ct, Complex c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cadd");
-    Node n;
-    n.kind = OpKind::kCAdd;
-    n.inputs = {ct.id};
+    Node n = node_of(OpKind::kCAdd, {ct});
     n.constant = c;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return add_value(std::move(n));
 }
 
 Value
 Graph::mod_raise(Value ct)
 {
-    const ValueInfo& ic = use_cipher(ct, "mod_raise");
-    BTS_NODE_CHECK(ic.level == 0, "meta-level", "mod_raise",
-                   "expects an exhausted (level-0) value, got level "
-                       << ic.level);
-    Node n;
-    n.kind = OpKind::kModRaise;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = traits_.max_level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kModRaise, {ct}));
 }
 
 Value
@@ -447,118 +521,48 @@ Graph::bootstrap(Value ct)
     // first; the lowering expands the identical plan either way).
     // Application graphs rely on this to refresh mid-circuit the
     // moment their level budget runs short.
-    use_cipher(ct, "bootstrap");
-    uses_bootstrap_ = true;
-    Node n;
-    n.kind = OpKind::kBootstrap;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = traits_.bootstrap_out_level;
-    out.scale = traits_.delta; // refresh lands on the canonical scale
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kBootstrap, {ct}));
 }
 
 std::vector<Value>
 Graph::hrot_hoisted(Value ct, const std::vector<int>& amounts)
 {
-    // Copy, not reference: fresh_value() below grows the value table,
-    // which would invalidate a reference into it mid-loop.
-    const ValueInfo ic = use_cipher(ct, "hrot_hoisted");
-    BTS_NODE_CHECK(!amounts.empty(), "structure-arity", "hrot_hoisted",
-                   "needs at least one rotation amount");
-    for (const int r : amounts) {
-        BTS_NODE_CHECK(r != 0, "structure-arity", "hrot_hoisted",
-                       "rotation amount must be nonzero");
-    }
-    Node n;
-    n.kind = OpKind::kHRotHoisted;
-    n.inputs = {ct.id};
+    Node n = node_of(OpKind::kHRotHoisted, {ct});
     n.amounts = amounts;
-    n.output = -1;
-    const int producer = static_cast<int>(nodes_.size());
     std::vector<Value> outs;
-    outs.reserve(amounts.size());
-    for (std::size_t k = 0; k < amounts.size(); ++k) {
-        ValueInfo out;
-        out.level = ic.level;
-        out.scale = ic.scale;
-        out.producer = producer;
-        const Value v = fresh_value(out);
-        n.outputs.push_back(v.id);
-        outs.push_back(v);
+    for (const int id : nodes_[add_node(std::move(n))].outputs) {
+        outs.push_back(Value{id});
     }
-    n.output = n.outputs[0];
-    nodes_.push_back(std::move(n));
     return outs;
 }
 
 Value
 Graph::hmult_rescale(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hmult_rescale");
-    const ValueInfo& ib = use_cipher(b, "hmult_rescale");
-    const int level = std::min(ia.level, ib.level);
-    BTS_NODE_CHECK(level >= 1, "level-budget", "hmult_rescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kHMultRescale;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = level - 1;
-    out.scale = ia.scale * ib.scale / traits_.delta;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kHMultRescale, {a, b}));
 }
 
 Value
 Graph::pmult_rescale(Value ct, Value pt)
 {
-    const ValueInfo& ic = use_cipher(ct, "pmult_rescale");
-    const ValueInfo& ip = use_plain(pt, "pmult_rescale");
-    BTS_NODE_CHECK(ip.level >= ic.level, "meta-level", "pmult_rescale",
-                   "plaintext level " << ip.level
-                                      << " below the ciphertext's "
-                                      << ic.level);
-    BTS_NODE_CHECK(ic.level >= 1, "level-budget", "pmult_rescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kPMultRescale;
-    n.inputs = {ct.id, pt.id};
-    ValueInfo out;
-    out.level = ic.level - 1;
-    out.scale = ic.scale * ip.scale / traits_.delta;
-    return append(std::move(n), out);
+    return add_value(node_of(OpKind::kPMultRescale, {ct, pt}));
 }
 
 Value
 Graph::cmult_rescale(Value ct, Complex c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cmult_rescale");
-    BTS_NODE_CHECK(ic.level >= 1, "level-budget", "cmult_rescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kCMultRescale;
-    n.inputs = {ct.id};
+    Node n = node_of(OpKind::kCMultRescale, {ct});
     n.constant = c;
-    ValueInfo out;
-    out.level = ic.level - 1;
-    out.scale = ic.scale; // * delta from the CMult, / delta from the
-                          // rescale
-    return append(std::move(n), out);
+    return add_value(std::move(n));
 }
 
 Value
 Graph::cmult_add(Value ct, Complex mul_c, Complex add_c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cmult_add");
-    Node n;
-    n.kind = OpKind::kCMultAdd;
-    n.inputs = {ct.id};
+    Node n = node_of(OpKind::kCMultAdd, {ct});
     n.constant = mul_c;
     n.constant2 = add_c;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale * traits_.delta;
-    return append(std::move(n), out);
+    return add_value(std::move(n));
 }
 
 void
@@ -581,7 +585,7 @@ Graph::mark_lazy(std::size_t node_idx)
     BTS_CHECK(node_idx < nodes_.size(),
               "mark_lazy: node index out of range");
     Node& n = nodes_[node_idx];
-    if (n.kind != OpKind::kHAdd && n.kind != OpKind::kHSub) {
+    if (!op_info(n.kind).may_be_lazy) {
         throw_node_error(name_, node_idx, "lazy-contract",
                          op_name(n.kind),
                          "only HAdd/HSub can produce lazy residues");
@@ -602,8 +606,9 @@ Graph::required_rotations() const
 {
     std::vector<int> amounts;
     for (const Node& n : nodes_) {
-        if (n.kind == OpKind::kHRot) amounts.push_back(n.rot_amount);
-        if (n.kind == OpKind::kHRotHoisted) {
+        const EvkNeed evk = op_info(n.kind).evk;
+        if (evk == EvkNeed::kRotation) amounts.push_back(n.rot_amount);
+        if (evk == EvkNeed::kPerAmount) {
             amounts.insert(amounts.end(), n.amounts.begin(),
                            n.amounts.end());
         }
@@ -655,13 +660,12 @@ Graph::debug_string() const
             }
             oss << "}";
         }
-        if (n.kind == OpKind::kCMult || n.kind == OpKind::kCAdd ||
-            n.kind == OpKind::kCMultRescale ||
-            n.kind == OpKind::kCMultAdd) {
+        const int constants = op_info(n.kind).constants;
+        if (constants >= 1) {
             oss << " c=(" << n.constant.real() << ","
                 << n.constant.imag() << ")";
         }
-        if (n.kind == OpKind::kCMultAdd) {
+        if (constants >= 2) {
             oss << " c2=(" << n.constant2.real() << ","
                 << n.constant2.imag() << ")";
         }

@@ -12,18 +12,27 @@
  * (the functional library tracks the exact per-ciphertext scale at run
  * time) kept to catch mismatched-operand mistakes at build time.
  *
- * Node kinds mirror the primitive HE ops of Section 2.3 of the paper
- * (the same set sim::HeOpKind schedules) plus one composite:
- * kBootstrap, which the Executor runs via a Bootstrapper and the
- * lowering expands into the full ModRaise/CtS/EvalMod/StC plan.
+ * Node kinds are the primitive HE ops of Section 2.3 of the paper
+ * (the same set sim::HeOpKind schedules), kBootstrap — which the
+ * Executor runs via a Bootstrapper and the lowering expands into the
+ * full ModRaise/CtS/EvalMod/StC plan — and the pass-made composites.
+ * Each kind is described once, by its OpInfo row (op_info): operand
+ * signature, key need, lazy-residue rules, simulator image, and for a
+ * composite its primitive parts. The builders, passes, verifier,
+ * lowering, resource analyzer and Executor key resolution read the
+ * row; the primitives' level/scale rule is op_transfer.
  */
 #pragma once
 
+#include <array>
 #include <complex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/op_trace.h"
 
 namespace bts::runtime {
 
@@ -33,9 +42,9 @@ using Complex = std::complex<double>;
  *  and HSub (an add-cost subtraction the sim models as kHAdd), plus
  *  the composite kinds the pass pipeline (src/runtime/passes/)
  *  introduces — grouped hoisted rotations and fused op pairs. The
- *  composites never appear in builder-authored graphs; lowering
- *  expands them back to the primitive kinds above, so the simulator
- *  trace contract is unchanged. */
+ *  composites never appear in builder-authored graphs; their OpInfo
+ *  rows name the primitives they run, and lowering expands them back
+ *  to those, so the simulator trace contract is unchanged. */
 enum class OpKind {
     kHMult,     //!< ciphertext x ciphertext (+ relinearization)
     kHRot,      //!< slot rotation (+ key-switch)
@@ -59,7 +68,76 @@ enum class OpKind {
 
 inline constexpr int kNumOpKinds = 17;
 
-/** Human-readable kind name (exhaustive; never returns null). */
+/** The most operands any op takes (OpInfo::arity <= kMaxArity). */
+inline constexpr int kMaxArity = 2;
+
+/** The evaluation key (or key-bearing resource) an op needs. */
+enum class EvkNeed {
+    kNone,
+    kMult,         //!< the relinearization key
+    kRotation,     //!< the rotation key for Node::rot_amount
+    kPerAmount,    //!< one rotation key per Node::amounts entry
+    kConj,         //!< the conjugation key
+    kBootstrapper, //!< a bound Bootstrapper
+};
+
+/** The scale an op wants on its ciphertext operands — the contract the
+ *  rescale-placement pass satisfies. */
+enum class ScaleIn {
+    kAny,      //!< any scale (rotations, rescale, ModRaise)
+    kReduced,  //!< below the delta^2 waterline (multiplications,
+               //!< constant/plaintext adds, bootstrap)
+    kAgreeing, //!< both operands at one scale (add/sub)
+};
+
+/** Operand preconditions of a primitive (OpInfo::checks bits). The
+ *  builders throw and the verifier reports, each in its own words. */
+enum OpCheck : unsigned {
+    kCheckScalesAgree = 1u << 0, //!< operands 0 and 1 at one scale
+    kCheckPlainCovers = 1u << 1, //!< plaintext level >= ciphertext's
+    kCheckHasLevel = 1u << 2,    //!< level >= 1: a prime left to drop
+    kCheckExhausted = 1u << 3,   //!< level == 0 (ModRaise)
+};
+
+/**
+ * One row of the op table: everything the runtime knows about an
+ * OpKind apart from how the Executor and the plaintext reference run
+ * it. A composite row lists its primitive `parts`; its other columns
+ * are derived from them (graph.cpp), and its level/scale transfer and
+ * noise rule are the fold over the parts.
+ */
+struct OpInfo
+{
+    OpKind kind = OpKind::kHAdd;
+    const char* name = "";  //!< display name ("HRescale")
+    const char* label = ""; //!< builder label in diagnostics ("hrescale")
+    int arity = 1;          //!< operand count
+    int plain_slot = -1;    //!< operand slot taking a plaintext; -1: none
+    int constants = 0;      //!< Node::constant / constant2 in use
+    EvkNeed evk = EvkNeed::kNone;
+    ScaleIn scale_in = ScaleIn::kAny;
+    unsigned checks = 0;         //!< OpCheck bits (primitives only)
+    bool tolerates_lazy = false; //!< see op_tolerates_lazy_input
+    bool may_be_lazy = false;    //!< Graph::mark_lazy accepts it
+    /** The simulator op of a primitive; empty for kBootstrap (lowered
+     *  via workloads::append_bootstrap) and composites. */
+    std::optional<sim::HeOpKind> sim{};
+    std::array<OpKind, 2> part_kinds{};
+    int num_parts = 0; //!< 0 for a primitive
+
+    /** A composite's primitives in execution order (kHRotHoisted: one
+     *  kHRot, run once per amount). Empty for a primitive. */
+    std::span<const OpKind>
+    parts() const
+    {
+        return {part_kinds.data(), static_cast<std::size_t>(num_parts)};
+    }
+};
+
+/** The table row of @p kind; throws std::logic_error out of range. */
+const OpInfo& op_info(OpKind kind);
+
+/** Human-readable kind name (never null). */
 const char* op_name(OpKind kind);
 
 /** @return true if the op streams an evaluation key. */
@@ -76,6 +154,10 @@ bool op_is_composite(OpKind kind);
  *  lazy-residue pass plants marks under this predicate and the static
  *  verifier's lazy-contract rule re-checks them (docs/PASSES.md). */
 bool op_tolerates_lazy_input(OpKind kind);
+
+/** The composite kind whose parts are (@p first, @p second), if any —
+ *  what the fusion pass collapses a producer/consumer pair into. */
+std::optional<OpKind> op_fused(OpKind first, OpKind second);
 
 /**
  * Level geometry + scale granularity the metadata inference needs.
@@ -167,6 +249,42 @@ struct Node
     bool lazy = false;
 };
 
+/** Level and scale of primitive @p kind's result, from its operands'
+ *  metadata (the other ValueInfo fields stay default). The one
+ *  statement of each primitive's metadata rule: builders, the verifier
+ *  and the lowering all reach it through fold_steps. Panics on a
+ *  composite. */
+ValueInfo op_transfer(OpKind kind, std::span<const ValueInfo> in,
+                      const GraphTraits& traits);
+
+/**
+ * Run @p kind's primitive steps — its parts, or the kind itself — over
+ * operand metadata @p in: the first step reads @p in, each later step
+ * the previous step's result. After each step's transfer,
+ * @p visit(step, operands, result) runs; returning false stops the
+ * fold. @return the last result, or nullopt if @p visit stopped it.
+ * A kHRotHoisted node folds one kHRot (every amount lands alike).
+ */
+template <typename Visit>
+std::optional<ValueInfo>
+fold_steps(OpKind kind, std::span<const ValueInfo> in,
+           const GraphTraits& traits, Visit&& visit)
+{
+    const std::span<const OpKind> parts = op_info(kind).parts();
+    const std::span<const OpKind> steps =
+        parts.empty() ? std::span<const OpKind>(&op_info(kind).kind, 1)
+                      : parts;
+    ValueInfo out;
+    ValueInfo prev;
+    for (const OpKind step : steps) {
+        out = op_transfer(step, in, traits);
+        if (!visit(step, in, out)) return std::nullopt;
+        prev = out;
+        in = std::span<const ValueInfo>(&prev, 1);
+    }
+    return out;
+}
+
 /**
  * The computation graph. Build by declaring inputs and appending ops;
  * every builder method validates operand kinds/levels and infers the
@@ -197,6 +315,15 @@ class Graph
     Value plain_input(int level, double scale);
 
     // ----- ops -----
+    /** Append a node of any kind: the one path every builder below
+     *  takes, and how passes re-emit nodes. @p n carries the kind, the
+     *  operand value ids (of this graph) and the attributes (rot_amount,
+     *  amounts, constants, lazy); its output fields are reassigned.
+     *  Validates the operands and infers the output metadata from the
+     *  op table. @return the new node's index; its `outputs` hold one
+     *  value per amount for kHRotHoisted, else one. */
+    std::size_t add_node(Node n);
+
     /** HMult; unequal operand levels align to the lower one. */
     Value hmult(Value a, Value b);
     /** HAdd; unequal operand levels align to the lower one. */
@@ -223,8 +350,7 @@ class Graph
      *  expands the same plan either way) and refreshes to
      *  traits().bootstrap_out_level at canonical scale. This is what
      *  lets application graphs refresh mid-circuit the moment the
-     *  level budget runs short, exactly like the hand-written
-     *  workloads::* generators' ensure() logic. */
+     *  level budget runs short. */
     Value bootstrap(Value ct);
 
     // ----- composite ops (emitted by the pass pipeline; legal to
@@ -247,8 +373,8 @@ class Graph
      *  executor in mark order). A value can be marked only once. */
     void mark_output(Value v);
 
-    /** Annotate node @p node_idx (kHAdd/kHSub only) as producing lazy
-     *  [0, 2q) residues. Legality — every consumer tolerates lazy
+    /** Annotate node @p node_idx (a kind whose OpInfo::may_be_lazy is
+     *  set: kHAdd/kHSub) as producing lazy [0, 2q) residues. Legality — every consumer tolerates lazy
      *  inputs and the result is not a graph output — is the caller's
      *  (the lazy-residue pass's) responsibility. */
     void mark_lazy(std::size_t node_idx);
@@ -291,10 +417,15 @@ class Graph
 
   private:
     Value fresh_value(ValueInfo info);
-    /** Validate a ciphertext operand and count the use. */
-    const ValueInfo& use_cipher(Value v, const char* op);
-    const ValueInfo& use_plain(Value v, const char* op);
-    Value append(Node node, ValueInfo out_info);
+    /** Validate operand @p v: a value of this graph, plain or cipher
+     *  as @p plain says. */
+    const ValueInfo& check_operand(Value v, bool plain,
+                                   const char* op) const;
+    /** add_node for a single-output kind: @return its output. */
+    Value add_value(Node n);
+    /** Throw on a violated precondition of primitive @p step. */
+    void check_step(OpKind step, std::span<const ValueInfo> in,
+                    const char* op) const;
 
     GraphUid uid_;
     std::string name_;

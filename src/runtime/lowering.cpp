@@ -8,32 +8,16 @@ namespace bts::runtime {
 sim::HeOpKind
 to_sim_kind(OpKind kind)
 {
-    switch (kind) {
-    case OpKind::kHMult: return sim::HeOpKind::kHMult;
-    case OpKind::kHRot: return sim::HeOpKind::kHRot;
-    case OpKind::kConj: return sim::HeOpKind::kConj;
-    case OpKind::kPMult: return sim::HeOpKind::kPMult;
-    case OpKind::kPAdd: return sim::HeOpKind::kPAdd;
-    case OpKind::kHAdd: return sim::HeOpKind::kHAdd;
-    case OpKind::kHSub: return sim::HeOpKind::kHAdd; // add-cost twin
-    case OpKind::kHRescale: return sim::HeOpKind::kHRescale;
-    case OpKind::kCMult: return sim::HeOpKind::kCMult;
-    case OpKind::kCAdd: return sim::HeOpKind::kCAdd;
-    case OpKind::kModRaise: return sim::HeOpKind::kModRaise;
-    case OpKind::kBootstrap:
-    case OpKind::kHRotHoisted:
-    case OpKind::kHMultRescale:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd:
-        fatal(std::string(op_name(kind)) +
+    const OpInfo& info = op_info(kind);
+    if (!info.sim) {
+        fatal(std::string(info.name) +
               " has no primitive sim image; lower_to_trace expands it");
     }
-    panic("unknown OpKind");
+    return *info.sim;
 }
 
-sim::Trace
-lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
+void
+check_lowerable(const Graph& g, const hw::CkksInstance& inst)
 {
     // Level-geometry compatibility: every value must fit the instance's
     // chain, and composite/raise ops must target ITS top level.
@@ -57,70 +41,67 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
                            << " != instance usable levels "
                            << inst.usable_levels());
     }
+}
 
-    sim::TraceBuilder b(g.name());
-    // Object ids assigned at first use (inputs) / production (outputs):
-    // this makes the id stream identical to a hand-written generator
-    // that calls fresh_id() in the same op order.
-    std::vector<int> object(g.num_values(), -1);
+std::span<const sim::HeOp>
+lower_node(const Graph& g, std::size_t i, const hw::CkksInstance& inst,
+           sim::TraceBuilder& b, std::vector<int>& object)
+{
+    const std::size_t first = b.trace().ops.size();
+    const Node& n = g.node(i);
     const auto obj = [&](int value_id) {
         if (object[value_id] < 0) object[value_id] = b.fresh_id();
         return object[value_id];
     };
 
+    if (n.kind == OpKind::kBootstrap) {
+        object[n.output] =
+            workloads::append_bootstrap(b, inst, obj(n.inputs[0]));
+    } else if (op_info(n.kind).evk == EvkNeed::kPerAmount) {
+        // A hoisted group lowers to its part once per amount: hoisting
+        // is a host-side dataflow restructuring, not a new hardware op.
+        const sim::HeOpKind rot = to_sim_kind(op_info(n.kind).parts()[0]);
+        const int src = obj(n.inputs[0]);
+        for (std::size_t k = 0; k < n.amounts.size(); ++k) {
+            object[n.outputs[k]] = b.add(rot, g.value(n.outputs[k]).level,
+                                         {src}, n.amounts[k]);
+        }
+    } else {
+        // A primitive lowers to its own sim op, a fused kind to its
+        // parts in order, each part reading the previous one's result.
+        std::vector<ValueInfo> in;
+        std::vector<int> ids;
+        for (const int v : n.inputs) {
+            in.push_back(g.value(v));
+            ids.push_back(obj(v));
+        }
+        fold_steps(n.kind, in, g.traits(),
+                   [&](OpKind step, std::span<const ValueInfo> ops,
+                       const ValueInfo& out) {
+                       // The level an op *executes at*: HRescale still
+                       // holds the about-to-drop prime, ModRaise already
+                       // runs on the full chain.
+                       const int level = step == OpKind::kHRescale
+                                             ? ops[0].level
+                                             : out.level;
+                       const int id = b.add(to_sim_kind(step), level, ids,
+                                            n.rot_amount);
+                       ids.assign(1, id);
+                       return true;
+                   });
+        object[n.output] = ids[0];
+    }
+    return {b.trace().ops.data() + first, b.trace().ops.size() - first};
+}
+
+sim::Trace
+lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
+{
+    check_lowerable(g, inst);
+    sim::TraceBuilder b(g.name());
+    std::vector<int> object(g.num_values(), -1);
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        const Node& n = g.node(i);
-        if (n.kind == OpKind::kBootstrap) {
-            object[n.output] =
-                workloads::append_bootstrap(b, inst, obj(n.inputs[0]));
-            continue;
-        }
-        // Pass-introduced composites expand back to the primitive ops
-        // they fused, keeping the simulator trace contract unchanged:
-        // the sim models each primitive's cost, and fusion/hoisting are
-        // dataflow restructurings, not new hardware ops.
-        if (n.kind == OpKind::kHRotHoisted) {
-            const int src = obj(n.inputs[0]);
-            for (std::size_t k = 0; k < n.amounts.size(); ++k) {
-                object[n.outputs[k]] =
-                    b.add(sim::HeOpKind::kHRot, g.value(n.outputs[k]).level,
-                          {src}, n.amounts[k]);
-            }
-            continue;
-        }
-        if (op_is_composite(n.kind)) {
-            const sim::HeOpKind first =
-                n.kind == OpKind::kHMultRescale ? sim::HeOpKind::kHMult
-                : n.kind == OpKind::kPMultRescale
-                    ? sim::HeOpKind::kPMult
-                    : sim::HeOpKind::kCMult;
-            const sim::HeOpKind second = n.kind == OpKind::kCMultAdd
-                                             ? sim::HeOpKind::kCAdd
-                                             : sim::HeOpKind::kHRescale;
-            // Both primitives execute at the pre-drop level: output
-            // level + 1 for the rescale fusions (CMult+CAdd is
-            // level-preserving).
-            const int mid_level =
-                g.value(n.output).level +
-                (n.kind == OpKind::kCMultAdd ? 0 : 1);
-            std::vector<int> inputs;
-            inputs.reserve(n.inputs.size());
-            for (const int in : n.inputs) inputs.push_back(obj(in));
-            const int mid =
-                b.add(first, mid_level, std::move(inputs), 0);
-            object[n.output] = b.add(second, mid_level, {mid}, 0);
-            continue;
-        }
-        // The level an op *executes at*: HRescale still holds the
-        // about-to-drop prime, ModRaise already runs on the full chain.
-        const int level = n.kind == OpKind::kHRescale
-                              ? g.value(n.inputs[0]).level
-                              : g.value(n.output).level;
-        std::vector<int> inputs;
-        inputs.reserve(n.inputs.size());
-        for (const int in : n.inputs) inputs.push_back(obj(in));
-        object[n.output] = b.add(to_sim_kind(n.kind), level,
-                                 std::move(inputs), n.rot_amount);
+        lower_node(g, i, inst, b, object);
     }
     return std::move(b.trace());
 }

@@ -49,14 +49,9 @@ to_dot(const Graph& g)
             }
             label << "}";
         }
-        if (n.kind == OpKind::kCMult || n.kind == OpKind::kCAdd ||
-            n.kind == OpKind::kCMultRescale ||
-            n.kind == OpKind::kCMultAdd) {
-            append_constant(label, "c", n.constant);
-        }
-        if (n.kind == OpKind::kCMultAdd) {
-            append_constant(label, "c2", n.constant2);
-        }
+        const int constants = op_info(n.kind).constants;
+        if (constants >= 1) append_constant(label, "c", n.constant);
+        if (constants >= 2) append_constant(label, "c2", n.constant2);
         if (n.lazy) label << " [lazy]";
         const ValueInfo& out = g.value(n.output);
         label << "\\nL" << out.level << " s=" << out.scale;

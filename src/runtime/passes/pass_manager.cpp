@@ -60,6 +60,33 @@ replay(const Graph& g, EmitNode&& emit_node)
     return rw;
 }
 
+/** Re-emit node @p n of the source graph into @p out with operand ids
+ *  @p inputs (already in @p out), filling the map entries for its
+ *  outputs. */
+void
+reemit(Graph& out, const Node& n, std::vector<int> inputs,
+       std::vector<int>& map)
+{
+    Node copy = n;
+    copy.inputs = std::move(inputs);
+    const Node& added = out.node(out.add_node(std::move(copy)));
+    for (std::size_t k = 0; k < added.outputs.size(); ++k) {
+        map[n.outputs[k]] = added.outputs[k];
+    }
+}
+
+/** Operand ids of @p n translated through @p map. */
+std::vector<int>
+mapped_inputs(const Node& n, const std::vector<int>& map)
+{
+    std::vector<int> ids;
+    for (const int in : n.inputs) {
+        BTS_ASSERT(map[in] >= 0, "operand of a live node was eliminated");
+        ids.push_back(map[in]);
+    }
+    return ids;
+}
+
 /** Re-emit node @p idx of @p g unchanged (operands translated through
  *  @p map), filling the map entries for its outputs. */
 void
@@ -67,48 +94,7 @@ emit_same(Graph& out, const Graph& g, std::size_t idx,
           std::vector<int>& map)
 {
     const Node& n = g.node(idx);
-    const auto in = [&](std::size_t slot) {
-        const int mapped = map[n.inputs[slot]];
-        BTS_ASSERT(mapped >= 0, "operand of a live node was eliminated");
-        return Value{mapped};
-    };
-    Value v;
-    switch (n.kind) {
-    case OpKind::kHMult: v = out.hmult(in(0), in(1)); break;
-    case OpKind::kHAdd: v = out.hadd(in(0), in(1)); break;
-    case OpKind::kHSub: v = out.hsub(in(0), in(1)); break;
-    case OpKind::kPMult: v = out.pmult(in(0), in(1)); break;
-    case OpKind::kPAdd: v = out.padd(in(0), in(1)); break;
-    case OpKind::kHRot: v = out.hrot(in(0), n.rot_amount); break;
-    case OpKind::kConj: v = out.conj(in(0)); break;
-    case OpKind::kHRescale: v = out.hrescale(in(0)); break;
-    case OpKind::kCMult: v = out.cmult(in(0), n.constant); break;
-    case OpKind::kCAdd: v = out.cadd(in(0), n.constant); break;
-    case OpKind::kModRaise: v = out.mod_raise(in(0)); break;
-    case OpKind::kBootstrap: v = out.bootstrap(in(0)); break;
-    case OpKind::kHMultRescale:
-        v = out.hmult_rescale(in(0), in(1));
-        break;
-    case OpKind::kPMultRescale:
-        v = out.pmult_rescale(in(0), in(1));
-        break;
-    case OpKind::kCMultRescale:
-        v = out.cmult_rescale(in(0), n.constant);
-        break;
-    case OpKind::kCMultAdd:
-        v = out.cmult_add(in(0), n.constant, n.constant2);
-        break;
-    case OpKind::kHRotHoisted: {
-        const std::vector<Value> outs =
-            out.hrot_hoisted(in(0), n.amounts);
-        for (std::size_t k = 0; k < outs.size(); ++k) {
-            map[n.outputs[k]] = outs[k].id;
-        }
-        return;
-    }
-    }
-    if (n.lazy) out.mark_lazy(out.num_nodes() - 1);
-    map[n.output] = v.id;
+    reemit(out, n, mapped_inputs(n, map), map);
 }
 
 // --------------------------------------------------------------------
@@ -148,79 +134,27 @@ place_rescales(const Graph& g, PassStats& stats)
             memo.emplace(new_id, r.id);
             return r.id;
         };
-        const auto in_id = [&](std::size_t slot) {
-            const int mapped = map[n.inputs[slot]];
-            BTS_ASSERT(mapped >= 0, "operand eliminated");
-            return mapped;
-        };
-
-        Value v;
-        switch (n.kind) {
-        case OpKind::kHMult:
-            v = out.hmult(Value{reduced(in_id(0))},
-                          Value{reduced(in_id(1))});
-            break;
-        case OpKind::kHMultRescale:
-            v = out.hmult_rescale(Value{reduced(in_id(0))},
-                                  Value{reduced(in_id(1))});
-            break;
-        case OpKind::kPMult:
-            v = out.pmult(Value{reduced(in_id(0))}, Value{in_id(1)});
-            break;
-        case OpKind::kPMultRescale:
-            v = out.pmult_rescale(Value{reduced(in_id(0))},
-                                  Value{in_id(1)});
-            break;
-        case OpKind::kCMult:
-            v = out.cmult(Value{reduced(in_id(0))}, n.constant);
-            break;
-        case OpKind::kCMultRescale:
-            v = out.cmult_rescale(Value{reduced(in_id(0))}, n.constant);
-            break;
-        case OpKind::kCMultAdd:
-            v = out.cmult_add(Value{reduced(in_id(0))}, n.constant,
-                              n.constant2);
-            break;
-        case OpKind::kCAdd:
-            v = out.cadd(Value{reduced(in_id(0))}, n.constant);
-            break;
-        case OpKind::kPAdd:
-            v = out.padd(Value{reduced(in_id(0))}, Value{in_id(1)});
-            break;
-        case OpKind::kBootstrap:
-            v = out.bootstrap(Value{reduced(in_id(0))});
-            break;
-        case OpKind::kHAdd:
-        case OpKind::kHSub: {
+        const OpInfo& info = op_info(n.kind);
+        std::vector<int> ids = mapped_inputs(n, map);
+        if (info.scale_in == ScaleIn::kReduced) {
+            for (std::size_t s = 0; s < ids.size(); ++s) {
+                if (static_cast<int>(s) != info.plain_slot) {
+                    ids[s] = reduced(ids[s]);
+                }
+            }
+        } else if (info.scale_in == ScaleIn::kAgreeing) {
             // Scale-preserving, but a mismatch (one operand still at
             // delta^2, the other already rescaled) must be repaired by
             // rescaling the larger side — otherwise pass through and
             // defer any shared obligation to the consumers.
-            int a = in_id(0), b = in_id(1);
-            const double sa = out.value(a).scale;
-            const double sb = out.value(b).scale;
+            const double sa = out.value(ids[0]).scale;
+            const double sb = out.value(ids[1]).scale;
             if (std::abs(sa / sb - 1.0) >= 1e-3) {
-                if (sa > sb) {
-                    a = reduced(a);
-                } else {
-                    b = reduced(b);
-                }
+                const std::size_t larger = sa > sb ? 0 : 1;
+                ids[larger] = reduced(ids[larger]);
             }
-            v = n.kind == OpKind::kHAdd ? out.hadd(Value{a}, Value{b})
-                                        : out.hsub(Value{a}, Value{b});
-            if (n.lazy) out.mark_lazy(out.num_nodes() - 1);
-            map[n.output] = v.id;
-            return;
         }
-        case OpKind::kHRot:
-        case OpKind::kConj:
-        case OpKind::kHRescale:
-        case OpKind::kModRaise:
-        case OpKind::kHRotHoisted:
-            emit_same(out, g, idx, map);
-            return;
-        }
-        map[n.output] = v.id;
+        reemit(out, n, std::move(ids), map);
     });
 }
 
@@ -353,18 +287,13 @@ fuse_pairs(const Graph& g, PassStats& stats)
     std::vector<char> absorbed(g.num_nodes(), 0);
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
-        if (n.kind != OpKind::kHMult && n.kind != OpKind::kPMult &&
-            n.kind != OpKind::kCMult) {
+        if (absorbed[i] || is_out[n.output] ||
+            users[n.output].size() != 1) {
             continue;
         }
-        if (is_out[n.output] || users[n.output].size() != 1) continue;
         const std::size_t j =
             static_cast<std::size_t>(users[n.output][0]);
-        const OpKind ck = g.node(j).kind;
-        const bool match =
-            (ck == OpKind::kHRescale) ||
-            (n.kind == OpKind::kCMult && ck == OpKind::kCAdd);
-        if (!match) continue;
+        if (!op_fused(n.kind, g.node(j).kind)) continue;
         fused_consumer[i] = static_cast<int>(j);
         absorbed[j] = 1;
         ++stats.ops_fused;
@@ -378,25 +307,17 @@ fuse_pairs(const Graph& g, PassStats& stats)
             emit_same(out, g, idx, map);
             return;
         }
+        // The fused node reads the producer's operands; each part's
+        // constant rides in the matching constant slot.
         const Node& c =
             g.node(static_cast<std::size_t>(fused_consumer[idx]));
-        const auto in = [&](std::size_t slot) {
-            const int mapped = map[n.inputs[slot]];
-            BTS_ASSERT(mapped >= 0, "operand eliminated");
-            return Value{mapped};
-        };
-        Value v;
-        if (n.kind == OpKind::kHMult) {
-            v = out.hmult_rescale(in(0), in(1));
-        } else if (n.kind == OpKind::kPMult) {
-            v = out.pmult_rescale(in(0), in(1));
-        } else if (c.kind == OpKind::kHRescale) {
-            v = out.cmult_rescale(in(0), n.constant);
-        } else {
-            v = out.cmult_add(in(0), n.constant, c.constant);
-        }
+        Node f;
+        f.kind = *op_fused(n.kind, c.kind);
+        f.inputs = mapped_inputs(n, map);
+        f.constant = n.constant;
+        f.constant2 = c.constant;
         map[n.output] = -1; // the intermediate no longer exists
-        map[c.output] = v.id;
+        map[c.output] = out.node(out.add_node(std::move(f))).output;
     });
 }
 
@@ -418,8 +339,7 @@ propagate_lazy(Graph& g, PassStats& stats)
     for (const int id : g.outputs()) is_out[id] = 1;
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
-        if (n.kind != OpKind::kHAdd && n.kind != OpKind::kHSub) continue;
-        if (n.lazy) continue;
+        if (!op_info(n.kind).may_be_lazy || n.lazy) continue;
         if (is_out[n.output] || users[n.output].empty()) continue;
         bool ok = true;
         for (const int u : users[n.output]) {

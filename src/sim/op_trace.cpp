@@ -79,7 +79,7 @@ TraceBuilder::add_into(int out_id, HeOpKind kind, int level,
     op.inputs = std::move(inputs);
     op.output = out_id;
     op.in_bootstrap = in_bootstrap;
-    trace_.ops.push_back(op);
+    trace_.ops.push_back(std::move(op));
     return out_id;
 }
 

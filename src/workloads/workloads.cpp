@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/bit_ops.h"
-#include "common/check.h"
 
 namespace bts::workloads {
 
@@ -127,22 +126,6 @@ append_bootstrap(TraceBuilder& b, const CkksInstance& inst, int ct_id)
     }
     b.trace().bootstrap_count += 1;
     return merged;
-}
-
-Trace
-tmult_microbench(const CkksInstance& inst)
-{
-    BTS_CHECK(inst.usable_levels() >= 1, "instance cannot bootstrap");
-    TraceBuilder b("tmult_microbench/" + inst.name);
-    int ct = b.fresh_id();
-    ct = append_bootstrap(b, inst, ct);
-    // Eq. 8's numerator: HMult + HRescale down the usable levels.
-    const int other = b.fresh_id();
-    for (int lvl = inst.usable_levels(); lvl >= 1; --lvl) {
-        ct = b.add(HeOpKind::kHMult, lvl, {ct, other});
-        ct = b.add(HeOpKind::kHRescale, lvl, {ct});
-    }
-    return b.trace();
 }
 
 Trace

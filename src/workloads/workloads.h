@@ -1,24 +1,23 @@
 /**
  * @file
  * Workload trace generators for the evaluation (Section 6.2):
- * the bootstrapping plan, the T_mult,a/slot microbenchmark (Eq. 8),
- * HELR logistic regression [39], channel-packed ResNet-20 [59, 50],
- * and the 2-way sorting network [42].
+ * the bootstrapping plan, HELR logistic regression [39],
+ * channel-packed ResNet-20 [59, 50], and the 2-way sorting network
+ * [42]. The T_mult,a/slot microbenchmark (Eq. 8) is the lowered
+ * runtime::tmult_graph (runtime/graph_workloads.h).
  *
  * These generators reproduce the published op *structure* (op mix,
  * level schedule, bootstrap placement); data values never matter to the
  * simulator. Bootstrap counts per instance are the paper's own Table 6
  * calibration target.
  *
- * Every generator here now has a runtime::Graph port that also
- * *executes* on the functional library:
- *   - tmult_microbench -> runtime/graph_workloads.h, pinned op-for-op
- *     (levels, ids, tags) by tests/runtime/test_lowering.cpp;
- *   - helr / resnet20 / sorting -> runtime/apps/{helr,resnet,sort}.h,
- *     pinned by op-kind histogram + bootstrap count per Table 4
- *     instance in tests/runtime/test_apps_pin.cpp.
- * A structural edit here must be mirrored in the graph port (and vice
- * versa) — the pin failing is the validation loop working as intended.
+ * helr / resnet20 / sorting each have a runtime::Graph port that also
+ * *executes* on the functional library (runtime/apps/{helr,resnet,
+ * sort}.h), pinned by op-kind histogram + bootstrap count per Table 4
+ * instance in tests/runtime/test_apps_pin.cpp. The ports' lowered
+ * traces still differ in levels and ids, so the simulated Table 5/6
+ * times would move by up to 0.8% if the benches switched to them;
+ * until they do, a structural edit here must be made in the port too.
  */
 #pragma once
 
@@ -38,10 +37,6 @@ using sim::Trace;
  */
 int append_bootstrap(sim::TraceBuilder& builder, const CkksInstance& inst,
                      int ct_id);
-
-/** The T_mult,a/slot microbenchmark: one bootstrap plus HMult+HRescale
- *  down the usable levels (Eq. 8's numerator). */
-Trace tmult_microbench(const CkksInstance& inst);
 
 /** HELR: 30 iterations of batch-1024 logistic-regression training
  *  (inner products, degree-3 sigmoid, gradient step; 5 levels/iter). */

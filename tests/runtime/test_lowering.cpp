@@ -10,6 +10,21 @@ namespace {
 
 using sim::HeOpKind;
 
+/** Eq. 8's trace composed by hand from the bootstrap plan: one
+ *  bootstrap, then HMult + HRescale down the usable levels. */
+sim::Trace
+hand_tmult_trace(const hw::CkksInstance& inst)
+{
+    sim::TraceBuilder b("tmult/" + inst.name);
+    int ct = workloads::append_bootstrap(b, inst, b.fresh_id());
+    const int other = b.fresh_id();
+    for (int lvl = inst.usable_levels(); lvl >= 1; --lvl) {
+        ct = b.add(HeOpKind::kHMult, lvl, {ct, other});
+        ct = b.add(HeOpKind::kHRescale, lvl, {ct});
+    }
+    return b.trace();
+}
+
 class TmultPin : public ::testing::TestWithParam<int>
 {
   protected:
@@ -22,12 +37,11 @@ class TmultPin : public ::testing::TestWithParam<int>
 
 TEST_P(TmultPin, LoweredTraceMatchesHandWrittenGenerator)
 {
-    // THE validation loop: the graph-API port of the tmult workload
-    // must lower to the exact trace the hand-written generator emits —
-    // same op-kind histogram, same bootstrap count, and (stronger)
-    // op-for-op equality including levels, object ids and tags.
+    // The fig/table benches simulate the lowered tmult_graph, so its
+    // lowering is pinned op for op (levels, object ids, tags) against
+    // the trace composed directly from the bootstrap plan.
     const auto i = inst();
-    const sim::Trace hand = workloads::tmult_microbench(i);
+    const sim::Trace hand = hand_tmult_trace(i);
     const sim::Trace lowered = lower_to_trace(tmult_graph(i), i);
 
     EXPECT_EQ(sim::kind_histogram(lowered), sim::kind_histogram(hand));
@@ -40,12 +54,12 @@ TEST_P(TmultPin, LoweredTraceMatchesHandWrittenGenerator)
 
 TEST_P(TmultPin, SimulatorResultsIdenticalOnRuntimeTrace)
 {
-    // BtsSimulator consuming the runtime-produced trace reproduces the
-    // hand-written trace's results bit for bit.
+    // BtsSimulator consuming the lowered graph reproduces the
+    // hand-composed trace's results bit for bit.
     const auto i = inst();
     const sim::BtsConfig hw;
     const sim::BtsSimulator sim(hw, i);
-    const auto r_hand = sim.run(workloads::tmult_microbench(i));
+    const auto r_hand = sim.run(hand_tmult_trace(i));
     const auto r_rt = sim.run(lower_to_trace(tmult_graph(i), i));
     EXPECT_DOUBLE_EQ(r_rt.total_s, r_hand.total_s);
     EXPECT_DOUBLE_EQ(r_rt.boot_s, r_hand.boot_s);

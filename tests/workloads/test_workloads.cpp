@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "baselines/published.h"
+#include "runtime/graph_workloads.h"
+#include "runtime/lowering.h"
 #include "sim/engine.h"
 #include "workloads/workloads.h"
 
@@ -15,6 +17,13 @@ count_kind(const Trace& t, HeOpKind kind)
     int n = 0;
     for (const auto& op : t.ops) n += (op.kind == kind);
     return n;
+}
+
+/** The T_mult,a/slot microbenchmark (Eq. 8) as the simulator runs it. */
+Trace
+tmult_microbench(const hw::CkksInstance& inst)
+{
+    return runtime::lower_to_trace(runtime::tmult_graph(inst), inst);
 }
 
 TEST(BootstrapPlan, OpMixAndLevels)
